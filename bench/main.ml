@@ -399,9 +399,9 @@ let d1_workload ~name ~query ~size ~spec =
       Printf.printf "  %-14s cache counters: %s\n" name
         (String.concat "; " (Duel_dbgi.Dcache.to_lines st))
   | None -> ());
-  (* Prefetching: same cache, plus the traversal prefetch planner.  The
-     cold run is the one the planner exists for — dependent chases whose
-     lines arrive in batched spans instead of one fill per line. *)
+  (* Prefetching: same cache, plus read-ahead.  The cold run is the one
+     it exists for — dependent chases whose nodes arrive with the page
+     block of an earlier miss instead of one fill per line. *)
   let b_p = backend_of (spec ^ "+cache+prefetch") in
   let s_p = Session.create b_p.Backend.b_dbg in
   let run_p = prepared s_p query in

@@ -38,13 +38,13 @@ let help_text =
                          (default; alias seq, plus sm for the state machine),
                          or the unlowered ablation
   set lower on|off       lower names to cached resolution slots (default on)
-  set prefetch on|off    speculative read-ahead into the data cache (default on)
+  set prefetch on|off    page-block read-ahead on wire misses (default on)
   set compress <n>       -->a[[n]] compression threshold (default 4)
   set limit <n>          cap displayed values (0 = unlimited)
   info scenario          describe the loaded debuggee
   info backend           the resolved --target spec tree, caps, health
   info cache             target-memory data cache counters (see --no-cache)
-  info prefetch          speculative-prefetch counters (see --no-prefetch)
+  info prefetch          read-ahead counters (see --no-prefetch)
   info lower             name-resolution cache counters (hits/misses/stale)
   info vm                bytecode-VM counters (dispatch/superinsns/frames)
   info chaos             fault-injection and retry counters (see --chaos)
@@ -222,7 +222,7 @@ let handle_command session inf scenario program built line =
   | [ "set"; "lower"; "off" ] -> session.Session.lower <- false
   | [ "set"; "prefetch"; (("on" | "off") as v) ] ->
       if not (Session.set_prefetch session (v = "on")) then
-        print_endline "prefetch: no data cache to speculate into"
+        print_endline "prefetch: no data cache to read ahead into"
   | [ "set"; "prefetch"; _ ] -> print_endline "expected on or off"
   | [ "set"; "compress"; n ] -> (
       match int_of_string_opt n with
@@ -476,8 +476,8 @@ let connect_help =
   info targets           the server's fleet roster (qDuelTargets)
   info server            the server's counters (qDuelStats)
   info cache             local data-cache counters
-  info prefetch          local speculative-prefetch counters
-  set prefetch on|off    toggle local speculative read-ahead
+  info prefetch          local read-ahead counters
+  set prefetch on|off    toggle local page-block read-ahead
   help                   this text
   quit                   exit|}
 
@@ -538,7 +538,7 @@ let connect_command session cl line =
       List.iter print_endline (Session.prefetch_stats session)
   | [ "set"; "prefetch"; (("on" | "off") as v) ] ->
       if not (Session.set_prefetch session (v = "on")) then
-        print_endline "prefetch: no data cache to speculate into"
+        print_endline "prefetch: no data cache to read ahead into"
   | [ "set"; "prefetch"; _ ] -> print_endline "expected on or off"
   | [ "use"; id ] ->
       Serve_client.use_target cl id;
@@ -681,9 +681,10 @@ let no_prefetch_arg =
     value & flag
     & info [ "no-prefetch" ]
         ~doc:
-          "Disable speculative read-ahead into the data cache; cold \
+          "Disable read-ahead into the data cache: over a wire, a miss \
+           then fills one line instead of its whole page block, and cold \
            traversals pay one round-trip per line again (useful for \
-           measuring the prefetcher, see `info prefetch`).")
+           measuring it, see `info prefetch`).")
 
 let chaos_arg =
   Arg.(

@@ -538,25 +538,23 @@ let build_atom ctx base decos =
         match deco with
         | Cache ->
             (* flush buffered writes while the transport underneath is
-               still alive: the dcache registry outlives this stack, and
-               a later [Dcache.flush_all] barrier must not find dirty
-               lines behind a closed connection *)
+               still alive, then drop the cache from the registries, so
+               a closed stack is not kept alive *)
             let cached = if net_cache_applied then dbg else cache_wrap inf dbg in
             ctx.closers <-
-              (fun () -> try Dcache.flush cached with _ -> ()) :: ctx.closers;
+              (fun () -> try Dcache.release cached with _ -> ()) :: ctx.closers;
             cached
         | Prefetch ->
-            (* speculation needs a cache to insert into, so +prefetch
-               implies one; for network bases both were already applied
-               inside the client above *)
+            (* read-ahead fills a cache, so +prefetch implies one; for
+               network bases both were already applied inside the client
+               above *)
             let cached =
               if Dcache.is_cached dbg || net_cache_applied then dbg
               else cache_wrap inf dbg
             in
-            (* same close-time flush as +cache: buffered writes must
-               leave while the transport underneath is still alive *)
+            (* same close-time release as +cache *)
             ctx.closers <-
-              (fun () -> try Dcache.flush cached with _ -> ()) :: ctx.closers;
+              (fun () -> try Dcache.release cached with _ -> ()) :: ctx.closers;
             ignore (Prefetch.attach cached);
             cached
         | Mangle _ -> dbg (* applied at the base *)

@@ -18,8 +18,9 @@
             | "tcp://" host ":" port ["#" scenario]
             | "unix:" path ["#" scenario]
     deco  ::= "cache"                     data cache (dcache) layer
-            | "prefetch"                  speculative read-ahead into the
-                                          dcache (implies cache)
+            | "prefetch"                  page-block read-ahead into the
+                                          dcache on wire bases (implies
+                                          cache)
             | "chaos(seed=N,profile=P)"   fault injection + retry layer
             | "flaky(seed=N,profile=P)"   fault injection, no retries
             | "mangle(seed=N,profile=P,rate=R)"

@@ -63,6 +63,9 @@ type insn =
   | Ispawn of int * int  (** gen slot <- fresh frame for region id *)
   | Ifallback of int * int
       (** gen slot <- {!Eval_seq} dispenser over {!program.irs} entry *)
+  | Iisolate of int
+      (** gen slot <- the same generator, run under its own copy of the
+          scope stack as it is now: the condition of [if] and [?:] *)
   | Ichase of int * int * operand * bool
       (** gen slot, roots gen slot, step operand, depth-first? — the
           fused [-->]-with-single-step traversal *)

@@ -155,15 +155,16 @@ let spawn c e =
   g
 
 (* The standard resume loop over a child generator [a]:
-     spawn gA
+     spawn gA            (then [isolate gA] if asked)
    L: resume rU <- gA, exhausted -> done
      <body rU>           (emitted by [body], may yield)
      jmp L
    done:
    The [done] label is returned unbound so callers can chain (Alt, With
    exhaust paths); [emit_region] binds it to Ihalt. *)
-let resume_loop c a body =
+let resume_loop ?(isolate = false) c a body =
   let g = spawn c a in
+  if isolate then ignore (emit c (B.Iisolate g));
   let l_next = label () and l_done = label () in
   bind c l_next;
   let r = reg c in
@@ -458,8 +459,10 @@ and emit_body c e : label =
       emit_to c l_next (fun t -> B.Ijmp t);
       l_done
 
+(* The condition runs isolated, as in [Eval_seq]: the with-scopes it
+   keeps open until exhausted must not capture the branches' names. *)
 and emit_cond c cnd t f =
-  resume_loop c cnd (fun ru l_next ->
+  resume_loop ~isolate:true c cnd (fun ru l_next ->
       let l_false = label () in
       emit_to c l_false (fun tgt -> B.Itruth (ru, tgt));
       let l_t =

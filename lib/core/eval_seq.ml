@@ -38,7 +38,10 @@ let int_seq env lo hi : Value.t Seq.t =
 (* Evaluate a sequence under the scope stack captured at creation time,
    isolated from scopes pushed by sibling subexpressions.  Used for the
    right side of assignments: in [q->scope = scope] the left side's
-   with-scope must not capture the right side's [scope] (C semantics). *)
+   with-scope must not capture the right side's [scope] (C semantics).
+   Also for the condition of [if] and [?:]: the with-scope of
+   [left->key] in [if (left->key == 3) left] stays open until the
+   condition's sequence ends, and must not capture the branch's [left]. *)
 let isolated env (seq : Value.t Seq.t) : Value.t Seq.t =
   let snapshot = ref (Env.stack env) in
   let rec wrap s () =
@@ -133,10 +136,11 @@ let rec eval env (e : Ir.expr) : Value.t Seq.t =
             (eval env b))
         (eval env a)
   | Ir.Cond (c, t, f) ->
-      Seq.concat_map
-        (fun u ->
-          if Value.truth env.Env.dbg u then eval env t else eval env f)
-        (eval env c)
+      delay (fun () ->
+          Seq.concat_map
+            (fun u ->
+              if Value.truth env.Env.dbg u then eval env t else eval env f)
+            (isolated env (eval env c)))
   | Ir.Assign (op, l, r) ->
       delay (fun () ->
           let rhs = isolated env (eval env r) in
@@ -219,11 +223,12 @@ let rec eval env (e : Ir.expr) : Value.t Seq.t =
       delay (fun () -> Seq.return (eval_reduce env r a psym))
   | Ir.Seq_eq (a, b) -> delay (fun () -> Seq.return (eval_seq_eq env a b))
   | Ir.If (c, t, f) ->
-      Seq.concat_map
-        (fun u ->
-          if Value.truth env.Env.dbg u then eval env t
-          else match f with None -> Seq.empty | Some f -> eval env f)
-        (eval env c)
+      delay (fun () ->
+          Seq.concat_map
+            (fun u ->
+              if Value.truth env.Env.dbg u then eval env t
+              else match f with None -> Seq.empty | Some f -> eval env f)
+            (isolated env (eval env c)))
   | Ir.For (init, cond, step, body) -> eval_for env init cond step body
   | Ir.While (cond, body) -> eval_while env cond body
   | Ir.Decl decls ->
@@ -346,9 +351,7 @@ and eval_expand env ~depth_first roots step =
       Seq.fold_left
         (fun acc w ->
           match Semantics.traversal_child_ok env w with
-          | Some wf ->
-              Semantics.chase_hint env w wf;
-              wf :: acc
+          | Some wf -> wf :: acc
           | None -> acc)
         [] (eval env step)
     in

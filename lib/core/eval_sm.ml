@@ -308,16 +308,21 @@ and assign_sm env n op =
           n.state <- 1;
           assign_sm env n op)
   | _ -> (
-      let outer = Env.stack env in
-      Env.set_stack env n.src_scopes;
-      let v = next env n.kids.(1) in
-      n.src_scopes <- Env.stack env;
-      Env.set_stack env outer;
-      match v with
+      match isolated_next env n n.kids.(1) with
       | Some v -> Some (Ops.assign env op (get_saved n) v)
       | None ->
           n.state <- 2;
           assign_sm env n op)
+
+(* Pull [kid] under the node's own scope stack [src_scopes], leaving the
+   caller's stack as it was. *)
+and isolated_next env n kid =
+  let outer = Env.stack env in
+  Env.set_stack env n.src_scopes;
+  let v = next env kid in
+  n.src_scopes <- Env.stack env;
+  Env.set_stack env outer;
+  v
 
 and alt env n =
   if n.state = 0 then
@@ -476,29 +481,31 @@ and logor env n =
         n.state <- 0;
         logor env n
 
-(* states: 0 pulling condition; 1 producing then-branch; 2 producing
-   else-branch. *)
+(* [if]/[?:]: the condition runs under the scope stack captured at state
+   0, as an assignment's right side does, so the with-scopes it leaves
+   open until it is exhausted never capture a branch's names.  States:
+   0 fresh, 3 pulling the condition, 1/2 the then/else branch. *)
 and conditional env n ~has_else =
-  if n.state = 0 then
-    match next env n.kids.(0) with
-    | None -> None
-    | Some u ->
-        if Value.truth env.Env.dbg u then begin
-          n.state <- 1;
-          conditional env n ~has_else
-        end
-        else if has_else then begin
-          n.state <- 2;
-          conditional env n ~has_else
-        end
-        else conditional env n ~has_else
-  else
-    let branch = n.state in
-    match next env n.kids.(branch) with
-    | Some v -> Some v
-    | None ->
-        n.state <- 0;
-        conditional env n ~has_else
+  match n.state with
+  | 0 ->
+      n.src_scopes <- Env.stack env;
+      n.state <- 3;
+      conditional env n ~has_else
+  | 3 -> (
+      match isolated_next env n n.kids.(0) with
+      | None ->
+          n.state <- 0;
+          None
+      | Some u ->
+          if Value.truth env.Env.dbg u then n.state <- 1
+          else if has_else then n.state <- 2;
+          conditional env n ~has_else)
+  | branch -> (
+      match next env n.kids.(branch) with
+      | Some v -> Some v
+      | None ->
+          n.state <- 3;
+          conditional env n ~has_else)
 
 and with_op env n kind lhs =
   match lhs with
@@ -683,9 +690,7 @@ and expand env n ~depth_first =
           match next env n.kids.(1) with
           | Some w -> (
               match Semantics.traversal_child_ok env w with
-              | Some wf ->
-                  Semantics.chase_hint env w wf;
-                  collect (wf :: acc)
+              | Some wf -> collect (wf :: acc)
               | None -> collect acc)
           | None -> List.rev acc
         in
@@ -717,28 +722,20 @@ and select env n =
   end;
   let pull () =
     if n.src_done then false
-    else begin
-      let outer = Env.stack env in
-      Env.set_stack env n.src_scopes;
-      let got =
-        match next env n.kids.(0) with
-        | None ->
-            n.src_done <- true;
-            false
-        | Some v ->
-            if n.buffered >= Array.length n.buffer then begin
-              let grown = Array.make (max 16 (2 * Array.length n.buffer)) dummy_value in
-              Array.blit n.buffer 0 grown 0 n.buffered;
-              n.buffer <- grown
-            end;
-            n.buffer.(n.buffered) <- v;
-            n.buffered <- n.buffered + 1;
-            true
-      in
-      n.src_scopes <- Env.stack env;
-      Env.set_stack env outer;
-      got
-    end
+    else
+      match isolated_next env n n.kids.(0) with
+      | None ->
+          n.src_done <- true;
+          false
+      | Some v ->
+          if n.buffered >= Array.length n.buffer then begin
+            let grown = Array.make (max 16 (2 * Array.length n.buffer)) dummy_value in
+            Array.blit n.buffer 0 grown 0 n.buffered;
+            n.buffer <- grown
+          end;
+          n.buffer.(n.buffered) <- v;
+          n.buffered <- n.buffered + 1;
+          true
   in
   let rec nth i =
     if i < n.buffered then Some n.buffer.(i)

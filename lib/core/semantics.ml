@@ -284,32 +284,6 @@ let traversal_child_ok env w =
       | (Value.Lval _ | Value.Lbit _), _ -> Some wf)
   | exception Error.Duel_error _ -> None
 
-(* Feed the dcache prefetcher after a hop validates: [w] is the raw
-   child the traversal step produced (an lvalue when it came off a
-   member like [-->next]), [wf] the fetched pointer.  The innermost
-   scope is the node being expanded, so the link field's offset inside a
-   node is the member's address minus the node base — exactly what the
-   predictor needs to walk the chain ahead of the engine.  Purely
-   advisory: no-op without an attached prefetcher, never raises. *)
-let chase_hint env w wf =
-  match env.Env.scopes with
-  | { Env.sc_comp = Some ci; _ } :: _ -> (
-      match (w.Value.st, wf.Value.st, wf.Value.typ) with
-      | Value.Lval la, Value.Rint p, Ctype.Ptr t when p <> 0L ->
-          let link_offset = la - ci.Env.ci_addr in
-          if link_offset >= 0 then begin
-            let dbg = env.Env.dbg in
-            let width =
-              match Layout.size_of dbg.Dbgi.abi t with
-              | n -> n
-              | exception Layout.Incomplete _ -> 1
-            in
-            Duel_dbgi.Prefetch.hint_chase dbg ~link_offset ~width
-              ~target:(Int64.to_int p)
-          end
-      | _ -> ())
-  | _ -> ()
-
 (* --- calls -------------------------------------------------------------- *)
 
 let default_promote env v =

@@ -45,13 +45,6 @@ val traversal_child_ok : Env.t -> Value.t -> Value.t option
     pointers and non-zero scalars survive (returned fetched), everything
     else terminates that branch ([None]). *)
 
-val chase_hint : Env.t -> Value.t -> Value.t -> unit
-(** [chase_hint env w wf] tells the dcache prefetcher a [-->] hop just
-    validated: [w] the raw child (its lvalue locates the link field
-    inside the node whose scope is innermost), [wf] the fetched pointer.
-    Advisory only — no-op without an attached prefetcher, never
-    raises. *)
-
 val call_function : Env.t -> string option -> Value.t list -> Value.t
 (** Call a target function by name (the lowered callee; [None] — a
     non-name callee — is an error) with already evaluated arguments

@@ -176,17 +176,16 @@ let prefetch_stats session =
   | None ->
       [
         (if Duel_dbgi.Dcache.is_cached dbg then
-           "prefetch: off (no predictor attached; see --no-prefetch)"
-         else "prefetch: off (no data cache to speculate into)");
+           "prefetch: off (no read-ahead attached; set prefetch on attaches it)"
+         else "prefetch: off (no data cache to read ahead into)");
       ]
   | Some st ->
       Duel_dbgi.Prefetch.to_lines ~on:(Duel_dbgi.Prefetch.enabled dbg) st
 
 let set_prefetch session on =
   let dbg = session.env.Env.dbg in
-  if on && not (Duel_dbgi.Prefetch.is_attached dbg) then
-    (* started with --no-prefetch: attach lazily if there is a cache *)
-    ignore (Duel_dbgi.Prefetch.attach dbg);
+  (* started with --no-prefetch: attach lazily if there is a cache *)
+  if on then ignore (Duel_dbgi.Prefetch.attach dbg);
   Duel_dbgi.Prefetch.set_enabled dbg on
 
 let lower_stats session =

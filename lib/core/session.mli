@@ -81,16 +81,15 @@ val cache_stats : t -> string list
 
 val prefetch_stats : t -> string list
 (** Human-readable {!Duel_dbgi.Prefetch} counters for the session's
-    interface (the [info prefetch] command): speculative lines issued /
-    useful / wasted, swallowed speculative faults, span reads and engine
-    hints — or a single "prefetch: off" line when no predictor is
-    attached. *)
+    interface (the [info prefetch] command): block fills and the
+    speculative lines they issued, useful, wasted and still resident —
+    or a single "prefetch: off" line when no read-ahead is attached. *)
 
 val set_prefetch : t -> bool -> bool
-(** Enable or disable speculation on the session's interface (the
-    [set prefetch on|off] command), attaching a predictor first if the
-    interface is cached but was started without one.  [false] when there
-    is no data cache to speculate into. *)
+(** Turn read-ahead on or off on the session's interface (the [set
+    prefetch on|off] command; off means one-line fills), attaching it
+    first if the interface is cached but was started without it.
+    [false] when there is no data cache to read ahead into. *)
 
 val lower_stats : t -> string list
 (** Human-readable resolution-cache counters (the [info lower] command):

@@ -32,6 +32,7 @@ type gen =
   | Gframe of frame
   | Gdisp of (unit -> Value.t option)  (** an {!Eval_seq} fallback *)
   | Gchase of chase  (** the fused [-->] traversal *)
+  | Giso of iso  (** a generator with its own scope stack *)
 
 (* The resumption frame: where this region's activation is suspended,
    plus its view of the register files (shared across the activation —
@@ -50,6 +51,8 @@ and activation = {
   iregs : int64 array;
   gens : gen array;
 }
+
+and iso = { mutable iso_stack : Env.stack; iso_gen : gen }
 
 and chase = {
   ch_step : B.operand;
@@ -257,6 +260,9 @@ let rec run_frame (f : frame) : Value.t option =
         st.v_fallback <- st.v_fallback + 1;
         gens.(g) <- Gdisp (Seq.to_dispenser (Eval_seq.eval env p.B.irs.(ix)));
         loop ()
+    | B.Iisolate g ->
+        gens.(g) <- Giso { iso_stack = Env.stack env; iso_gen = gens.(g) };
+        loop ()
     | B.Ichase (g, roots, step, df) ->
         st.v_super <- st.v_super + 1;
         gens.(g) <-
@@ -306,6 +312,14 @@ and resume a g =
   | Gframe f -> run_frame f
   | Gdisp d -> d ()
   | Gchase ch -> chase_next a ch
+  | Giso i ->
+      (* [Eval_seq.isolated]: pull under the generator's own stack *)
+      let outer = Env.stack a.env in
+      Env.set_stack a.env i.iso_stack;
+      let v = resume a i.iso_gen in
+      i.iso_stack <- Env.stack a.env;
+      Env.set_stack a.env outer;
+      v
   | Gnone -> None
 
 (* One step of the fused [-->]/[-->>] traversal: same order of effects
@@ -327,9 +341,7 @@ and chase_next a ch =
           let w = opv a ch.ch_step in
           let r =
             match Semantics.traversal_child_ok env w with
-            | Some wf ->
-                Semantics.chase_hint env w wf;
-                [ wf ]
+            | Some wf -> [ wf ]
             | None -> []
           in
           Env.pop_scope env;

@@ -95,6 +95,8 @@ let serialized lock d =
 let probes : (t * (addr:int -> len:int -> bool)) list ref = ref []
 
 let register_probe dbg probe = probes := (dbg, probe) :: !probes
+let unregister_probe dbg =
+  probes := List.filter (fun (d, _) -> d != dbg) !probes
 
 let readable dbg ~addr ~len =
   len = 0

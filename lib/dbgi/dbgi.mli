@@ -150,6 +150,9 @@ val register_probe : t -> (addr:int -> len:int -> bool) -> unit
 (** Attach a readability probe to [dbg] (compared by physical identity).
     Used by {!Dcache.wrap}; the probe is only consulted for [len > 0]. *)
 
+val unregister_probe : t -> unit
+(** Drop [dbg]'s probe, if any ({!Dcache.release}). *)
+
 (** {1 Scalar helpers}
 
     Endian-aware integer access on top of [get_bytes]/[put_bytes] and

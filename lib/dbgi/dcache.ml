@@ -54,8 +54,8 @@ let fresh_stats () =
 (* Lines are threaded on an intrusive doubly-linked recency list (MRU at
    [mru], LRU at [lru]), so a [touch] is pointer surgery and eviction is
    O(1) instead of a full-table minimum scan.  [spec] marks a line that
-   was inserted speculatively (by a prefetcher via [spec_fetch]) and has
-   not yet been touched by a demand access; the flag exists only for
+   arrived with a block fill around some other line's miss and has not
+   yet been touched by a demand access; the flag exists only for
    accounting — the bytes are as real as a demand fill's. *)
 type line = {
   base : int;
@@ -66,21 +66,11 @@ type line = {
   mutable next : line option;  (* towards LRU *)
 }
 
-(* The speculation port: how an attached prefetcher observes this cache.
-   [h_demand] fires after every demand read completes (the prediction
-   signal); [fresh] is true when the access filled a missing line or
-   promoted a speculative one — the first-touch stream, which is what a
-   stride predictor should train on (re-reads of long-resident lines are
-   traversal backtracking, not the miss frontier).  [h_useful]/[h_wasted]
-   resolve speculative lines (promoted by a demand touch / dropped
-   still-speculative); [h_reset] fires when the cache drops every line,
-   so the predictor forgets its run state. *)
-type spec_hooks = {
-  h_demand : addr:int -> len:int -> fresh:bool -> unit;
-  h_issued : int -> unit;
-  h_useful : int -> unit;
-  h_wasted : int -> unit;
-  h_reset : unit -> unit;
+type spec_stats = {
+  mutable issued : int;
+  mutable useful : int;
+  mutable wasted : int;
+  mutable blocks : int;
 }
 
 type cache = {
@@ -93,7 +83,9 @@ type cache = {
   mutable pending_bytes : int;
   mutable last_gen : int;
   mutable stale : bool;  (* [mark_stale]: drop lines on the next operation *)
-  mutable hooks : spec_hooks option;
+  block : int;  (* read-ahead block in bytes; [line_size] off the wire *)
+  mutable ledger : spec_stats option;  (* read-ahead's, once attached *)
+  mutable readahead : bool;
   st : stats;
 }
 
@@ -123,14 +115,12 @@ let touch c line =
       unlink c line;
       push_front c line
 
+(* Resolve [n] still-speculative lines as dropped. *)
+let waste c n =
+  match c.ledger with Some s -> s.wasted <- s.wasted + n | None -> ()
+
 let clear_lines c =
-  (match c.hooks with
-  | Some h ->
-      let spec = ref 0 in
-      Hashtbl.iter (fun _ l -> if l.spec then incr spec) c.lines;
-      if !spec > 0 then h.h_wasted !spec;
-      h.h_reset ()
-  | None -> ());
+  Hashtbl.iter (fun _ l -> if l.spec then waste c 1) c.lines;
   Hashtbl.reset c.lines;
   c.mru <- None;
   c.lru <- None
@@ -195,27 +185,60 @@ let evict_one c =
          first keeps the invariant that every pending byte lives in a
          cached line, so fills can never resurrect stale backend data. *)
       if l.dirty then flush_cache c;
-      if l.spec then
-        (match c.hooks with Some h -> h.h_wasted 1 | None -> ());
+      if l.spec then waste c 1;
       unlink c l;
       Hashtbl.remove c.lines l.base
 
-let fill c base =
-  c.st.fills <- c.st.fills + 1;
-  c.st.backend_reads <- c.st.backend_reads + 1;
-  let buf = c.backend.Dbgi.get_bytes ~addr:base ~len:c.cfg.line_size in
+let install c base buf ~spec =
   if Hashtbl.length c.lines >= c.cfg.max_lines then evict_one c;
-  let l = { base; buf; dirty = false; spec = false; prev = None; next = None } in
+  let l = { base; buf; dirty = false; spec; prev = None; next = None } in
   push_front c l;
-  Hashtbl.replace c.lines base l;
-  l
+  Hashtbl.replace c.lines base l
+
+let read c ~addr ~len =
+  c.st.backend_reads <- c.st.backend_reads + 1;
+  c.backend.Dbgi.get_bytes ~addr ~len
+
+(* Insert whole lines carved out of one block read as speculative, each
+   counted as it lands (an eviction's flush may raise mid-block).  Lines
+   already resident are skipped — in particular dirty lines, preserving
+   the invariant that every pending byte lives in a cached line — so
+   read-ahead can never clobber buffered writes or demand-fresh data. *)
+let spec_insert c ~start buf =
+  let line = c.cfg.line_size in
+  for i = 0 to (Bytes.length buf / line) - 1 do
+    let base = start + (i * line) in
+    if not (Hashtbl.mem c.lines base) then begin
+      install c base (Bytes.sub buf (i * line) line) ~spec:true;
+      match c.ledger with Some s -> s.issued <- s.issued + 1 | None -> ()
+    end
+  done
+
+(* A demand fill.  With read-ahead on over a wire, the miss reads the
+   whole aligned block around the line in its one round trip: the line
+   is installed as demand, the rest of the block as speculative lines,
+   for no extra trip.  A faulting block falls back to the one-line read,
+   so a demand fault keeps its exact attribution; a transient propagates
+   with nothing inserted.  [~block:false] asks for the one-line read. *)
+let fill c ~block base =
+  c.st.fills <- c.st.fills + 1;
+  let line = c.cfg.line_size in
+  if block && c.readahead && c.block > line then begin
+    let start = base land lnot (c.block - 1) in
+    match read c ~addr:start ~len:c.block with
+    | buf ->
+        Option.iter (fun s -> s.blocks <- s.blocks + 1) c.ledger;
+        install c base (Bytes.sub buf (base - start) line) ~spec:false;
+        spec_insert c ~start buf
+    | exception Dbgi.Target_fault _ ->
+        install c base (read c ~addr:base ~len:line) ~spec:false
+  end
+  else install c base (read c ~addr:base ~len:line) ~spec:false
 
 (* Copy [addr, addr+len) between a client buffer and the cached lines.
    [get] reads lines into [out]; otherwise writes [data] into lines,
-   marking them dirty.  Returns how many speculative lines the access
-   promoted, so the caller can tell a first touch from a re-read. *)
+   marking them dirty.  A demand touch resolves speculative lines. *)
 let blit_lines c ~addr ~len ~(out : bytes option) ~(data : bytes option) =
-  let promoted = ref 0 in
   List.iter
     (fun base ->
       let l = Hashtbl.find c.lines base in
@@ -230,33 +253,41 @@ let blit_lines c ~addr ~len ~(out : bytes option) ~(data : bytes option) =
           l.dirty <- true
       | None -> ());
       if l.spec then begin
-        (* a demand access touched a speculated line: the prediction paid
-           off, exactly once per line *)
+        (* the read-ahead paid off, exactly once per line *)
         l.spec <- false;
-        incr promoted;
-        match c.hooks with Some h -> h.h_useful 1 | None -> ()
+        match c.ledger with Some s -> s.useful <- s.useful + 1 | None -> ()
       end;
       touch c l)
-    (line_bases c addr len);
-  !promoted
+    (line_bases c addr len)
 
 let all_cached c ~addr ~len =
   List.for_all (fun base -> Hashtbl.mem c.lines base) (line_bases c addr len)
 
 (* Ensure every line covering the range is cached.  Raises the fill's
-   [Target_fault] if a line cannot be read. *)
+   [Target_fault] if a line cannot be read.  No fill may evict a line the
+   access still needs: its resident lines move to the MRU end first, so
+   evictions take older lines, and block fills are used only while every
+   block the range touches fits in the cache at once (always, up to four
+   blocks); a longer range fills one line at a time. *)
 let ensure_lines c ~addr ~len =
-  List.iter
-    (fun base -> if not (Hashtbl.mem c.lines base) then ignore (fill c base))
-    (line_bases c addr len)
+  let bases = line_bases c addr len in
+  let resident = List.filter_map (Hashtbl.find_opt c.lines) bases in
+  if List.compare_lengths resident bases < 0 then begin
+    List.iter (touch c) resident;
+    let block_of a = a land lnot (c.block - 1) in
+    let span = block_of (addr + len - 1) - block_of addr + c.block in
+    let block = span <= c.cfg.max_lines * c.cfg.line_size in
+    List.iter
+      (fun base -> if not (Hashtbl.mem c.lines base) then fill c ~block base)
+      bases
+  end
 
 let cached_get c ~addr ~len =
   if len <= 0 then c.backend.Dbgi.get_bytes ~addr ~len
   else begin
     check_coherence c;
     c.st.bytes_read <- c.st.bytes_read + len;
-    let hit = all_cached c ~addr ~len in
-    if hit then c.st.hits <- c.st.hits + 1
+    if all_cached c ~addr ~len then c.st.hits <- c.st.hits + 1
     else begin
       c.st.misses <- c.st.misses + 1;
       try ensure_lines c ~addr ~len
@@ -279,12 +310,7 @@ let cached_get c ~addr ~len =
         raise_notrace Exit
     end;
     let out = Bytes.create len in
-    let promoted = blit_lines c ~addr ~len ~out:(Some out) ~data:None in
-    (* the demand stream feeds the predictor last, after this request has
-       finished mutating the line table: the hook may insert lines *)
-    (match c.hooks with
-    | Some h -> h.h_demand ~addr ~len ~fresh:((not hit) || promoted > 0)
-    | None -> ());
+    blit_lines c ~addr ~len ~out:(Some out) ~data:None;
     out
   end
 
@@ -326,7 +352,7 @@ let cached_put c ~addr data =
         (* Write-allocate: the lines are cached, so update them in place
            and buffer the store; it reaches the backend coalesced, at the
            next flush point. *)
-        ignore (blit_lines c ~addr ~len ~out:None ~data:(Some data));
+        blit_lines c ~addr ~len ~out:None ~data:(Some data);
         add_pending c addr data;
         if c.pending_bytes > c.cfg.max_pending then flush_cache c
     | exception (Dbgi.Target_transient _ as e) ->
@@ -374,97 +400,15 @@ let probe c ~addr ~len =
   check_coherence c;
   if all_cached c ~addr ~len then begin
     c.st.hits <- c.st.hits + 1;
-    let promoted = blit_lines c ~addr ~len ~out:None ~data:None in
-    (* probes are demand accesses too: a probe that promotes speculated
-       lines is the traversal's first touch of a node *)
-    (match c.hooks with
-    | Some h -> h.h_demand ~addr ~len ~fresh:(promoted > 0)
-    | None -> ());
+    (* probes are demand accesses too: the traversal's first touch of a
+       node resolves its read-ahead lines *)
+    blit_lines c ~addr ~len ~out:None ~data:None;
     true
   end
   else
     match cached_get c ~addr ~len with
     | (_ : bytes) -> true
     | exception Dbgi.Target_fault _ -> false
-
-(* --- the speculation port ------------------------------------------------ *)
-
-(* Insert whole lines carved out of one speculatively read span.  Lines
-   already resident are skipped — in particular dirty lines, preserving
-   the invariant that every pending byte lives in a cached line — so a
-   misprediction can never clobber buffered writes or demand-fresh data. *)
-let spec_insert c ~start buf =
-  let got = Bytes.length buf in
-  let inserted = ref 0 in
-  let base = ref start in
-  while !base + c.cfg.line_size <= start + got do
-    if not (Hashtbl.mem c.lines !base) then begin
-      if Hashtbl.length c.lines >= c.cfg.max_lines then evict_one c;
-      let lbuf = Bytes.sub buf (!base - start) c.cfg.line_size in
-      let l =
-        { base = !base; buf = lbuf; dirty = false; spec = true; prev = None;
-          next = None }
-      in
-      push_front c l;
-      Hashtbl.replace c.lines !base l;
-      incr inserted
-    end;
-    base := !base + c.cfg.line_size
-  done;
-  (* the ledger counts at this layer, so [useful + wasted = issued]
-     holds for every speculative insert, whoever asked for it *)
-  if !inserted > 0 then
-    (match c.hooks with Some h -> h.h_issued !inserted | None -> ());
-  !inserted
-
-(* One speculative batched read: the whole line-aligned span in a single
-   backend round trip.  A batch that straddles an unmapped hole is not
-   dropped: an exact interior fault address (direct backends report the
-   first bad byte) retries once with the mapped prefix; a coarse fault (a
-   remote stub only says "no") retries once with the front half.  A read
-   that still faults propagates — the caller (the prefetcher) swallows
-   and counts it; demand reads never come through here. *)
-let spec_fetch_cache c ~addr ~len =
-  if len <= 0 then 0
-  else begin
-    let start = line_base c addr in
-    let want = line_base c (addr + len - 1) + c.cfg.line_size - start in
-    if all_cached c ~addr:start ~len:want then 0
-    else begin
-      let read len =
-        c.st.backend_reads <- c.st.backend_reads + 1;
-        c.backend.Dbgi.get_bytes ~addr:start ~len
-      in
-      let buf =
-        try read want
-        with Dbgi.Target_fault { addr = fa; _ } ->
-          let prefix =
-            if fa > start && fa < start + want then
-              (fa - start) land lnot (c.cfg.line_size - 1)
-            else (want / 2) land lnot (c.cfg.line_size - 1)
-          in
-          if prefix < c.cfg.line_size then
-            raise (Dbgi.Target_fault { addr = fa; len = want })
-          else read prefix
-      in
-      spec_insert c ~start buf
-    end
-  end
-
-let spec_peek_cache c ~addr ~len =
-  if len <= 0 then None
-  else if not (all_cached c ~addr ~len) then None
-  else begin
-    let out = Bytes.create len in
-    List.iter
-      (fun base ->
-        let l = Hashtbl.find c.lines base in
-        let lo = max addr base in
-        let hi = min (addr + len) (base + c.cfg.line_size) in
-        Bytes.blit l.buf (lo - base) out (lo - addr) (hi - lo))
-      (line_bases c addr len);
-    Some out
-  end
 
 (* The wrapped interface is a plain [Dbgi.t]; caches are found again by
    physical identity (most recent first, so the live session's wrapper is
@@ -473,6 +417,25 @@ let registry : (Dbgi.t * cache) list ref = ref []
 
 let find dbg =
   Option.map snd (List.find_opt (fun (d, _) -> d == dbg) !registry)
+
+(* The read-ahead block for a backend: the page around a line, which is
+   also the RSP stub's largest read, so a block read faults only when the
+   line's own page is unmapped.  It is capped at a quarter of the cache,
+   so a fill never evicts the line it has just fetched and an access
+   spanning up to four blocks keeps its own lines ([ensure_lines]), and
+   kept a power of two, so blocks tile pages.  Only a wire has a round trip to
+   amortise; in-process backends fill one line. *)
+let block_size cfg (backend : Dbgi.t) =
+  match backend.Dbgi.caps.Dbgi.c_transport with
+  | Dbgi.Loopback | Dbgi.Socket ->
+      let rec pow2_floor n =
+        if n land (n - 1) = 0 then n else pow2_floor (n land (n - 1))
+      in
+      let lines =
+        min (Duel_mem.Memory.page_size / cfg.line_size) (cfg.max_lines / 4)
+      in
+      if lines < 2 then cfg.line_size else cfg.line_size * pow2_floor lines
+  | Dbgi.Direct | Dbgi.Synthetic -> cfg.line_size
 
 let wrap ?(config = default_config) backend =
   if config.line_size <= 0 || config.line_size land (config.line_size - 1) <> 0
@@ -491,7 +454,9 @@ let wrap ?(config = default_config) backend =
       last_gen =
         (match config.stale_policy with Probe probe -> probe () | Explicit -> 0);
       stale = false;
-      hooks = None;
+      block = block_size config backend;
+      ledger = None;
+      readahead = false;
       st = fresh_stats ();
     }
   in
@@ -524,41 +489,35 @@ let flush dbg = match find dbg with None -> () | Some c -> flush_cache c
 
 let flush_all () = List.iter (fun (_, c) -> flush_cache c) !registry
 
+let release dbg =
+  match find dbg with
+  | None -> ()
+  | Some c ->
+      Fun.protect
+        ~finally:(fun () ->
+          registry := List.filter (fun (d, _) -> d != dbg) !registry;
+          Dbgi.unregister_probe dbg)
+        (fun () -> flush_cache c)
+
 let invalidate dbg =
   match find dbg with None -> () | Some c -> invalidate_cache c
 
 let mark_stale dbg =
   match find dbg with None -> () | Some c -> c.stale <- true
 
-(* --- speculation port, by wrapped interface ------------------------------ *)
+(* --- read-ahead, by wrapped interface ------------------------------------ *)
 
-let set_spec_hooks dbg hooks =
+let spec_stats dbg = Option.bind (find dbg) (fun c -> c.ledger)
+let readahead dbg = match find dbg with Some c -> c.readahead | None -> false
+
+let set_readahead dbg on =
   match find dbg with
   | None -> false
   | Some c ->
-      c.hooks <- Some hooks;
+      if c.ledger = None then
+        c.ledger <- Some { issued = 0; useful = 0; wasted = 0; blocks = 0 };
+      c.readahead <- on;
       true
-
-let spec_line_size dbg = Option.map (fun c -> c.cfg.line_size) (find dbg)
-
-let spec_cached dbg ~addr ~len =
-  match find dbg with
-  | None -> false
-  | Some c -> len > 0 && all_cached c ~addr ~len
-
-let spec_peek dbg ~addr ~len =
-  Option.bind (find dbg) (fun c -> spec_peek_cache c ~addr ~len)
-
-let spec_fetch dbg ~addr ~len =
-  match find dbg with None -> 0 | Some c -> spec_fetch_cache c ~addr ~len
-
-let spec_lines dbg =
-  match find dbg with
-  | None -> 0
-  | Some c ->
-      let n = ref 0 in
-      Hashtbl.iter (fun _ l -> if l.spec then incr n) c.lines;
-      !n
 
 let reset_stats dbg =
   match find dbg with

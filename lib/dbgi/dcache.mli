@@ -12,11 +12,12 @@
     {2 Semantics preserved}
 
     {ul
-    {- Faults: a read whose enclosing line cannot be filled (a line
-       rounds up across a page boundary) falls back to an exact-range
-       backend access, so {!Dbgi.Target_fault} carries exactly the
-       [{addr; len}] the uncached interface would have reported, and
-       reads that merely {e straddle} a mapping edge still succeed.}
+    {- Faults: a read whose enclosing line cannot be filled falls back to
+       an exact-range backend access (a block fill that faults first
+       falls back to the one-line fill), so {!Dbgi.Target_fault} carries
+       exactly the [{addr; len}] the uncached interface would have
+       reported, and reads that merely {e straddle} a mapping edge still
+       succeed.}
     {- Zero-length accesses never touch cache or backend.}
     {- [alloc_space] and [call_func] flush buffered writes first (the
        target must see them) and invalidate every line after (target code
@@ -79,7 +80,7 @@ val default_config : config
 type stats = {
   mutable hits : int;  (** read requests served entirely from cache *)
   mutable misses : int;  (** read requests needing at least one fill *)
-  mutable fills : int;  (** line fills issued *)
+  mutable fills : int;  (** demand line fills issued *)
   mutable bytes_read : int;  (** bytes returned to clients *)
   mutable bytes_written : int;  (** bytes accepted from clients *)
   mutable invalidations : int;  (** whole-cache drops *)
@@ -121,9 +122,15 @@ val flush : Dbgi.t -> unit
     commands. *)
 
 val flush_all : unit -> unit
-(** [flush] every cache ever produced by {!wrap} — a shutdown or
-    checkpoint barrier when the caller has interfaces rather than the
-    caches behind them. *)
+(** [flush] every cache {!wrap} produced and no {!release} has dropped —
+    a shutdown or checkpoint barrier when the caller has interfaces
+    rather than the caches behind them. *)
+
+val release : Dbgi.t -> unit
+(** [flush], then forget the cache behind [dbg]: {!is_cached}, {!stats}
+    and the readability probe no longer find it, so a closed stack is
+    not kept alive.  The flush's exception, if any, propagates after the
+    cache is forgotten.  No-op if unwrapped. *)
 
 val invalidate : Dbgi.t -> unit
 (** [flush] then drop every cached line.  Required after the target
@@ -140,66 +147,41 @@ val reset_stats : Dbgi.t -> unit
 val to_lines : stats -> string list
 (** Human-readable counter summary (for [info cache] and friends). *)
 
-(** {2 The speculation port}
+(** {2 Read-ahead}
 
-    A prediction layer ({!Prefetch}) attaches to a wrapped interface and
-    drives these: it observes the demand stream, reads ahead of it in
-    batched spans, and inserts whole lines marked {e speculative}.  A
-    speculative line is byte-identical to a demand fill — only the
-    accounting differs: its first demand touch resolves it {e useful},
+    Over a wire every miss is a round trip, and a synchronous
+    speculative read of its own can at best break even.  So read-ahead
+    rides on the demand miss: with it on, a fill on a {!Dbgi.Loopback}
+    or {!Dbgi.Socket} backend reads the whole 4 KiB-aligned block around
+    the missing line (at most a quarter of the cache) in the one
+    [get_bytes] the miss pays anyway.  The line is installed as a demand
+    line, the block's other non-resident lines as {e speculative} ones.
+    An access spanning more blocks than the cache holds at once fills
+    one line at a time, so no fill evicts a line the access still
+    needs.  [Direct] and [Synthetic] backends keep one-line fills: they
+    have no round trip to amortise.
+
+    A speculative line is byte-identical to a demand fill; only the
+    accounting differs.  Its first demand touch resolves it {e useful},
     dropping it untouched (eviction, invalidation) resolves it {e
     wasted}, so for any quiesced cache [useful + wasted = issued].
-    Speculative inserts never replace a resident line, so buffered writes
-    (which always live in cached lines) cannot be clobbered by a
-    misprediction. *)
+    Resident lines are never replaced, so buffered writes (which always
+    live in cached lines) cannot be clobbered. *)
 
-(** Callbacks an attached predictor registers with {!set_spec_hooks}.
-    [h_demand] fires after each demand read completes (and may itself
-    call {!spec_fetch}); [fresh] is true when the access filled a
-    missing line or promoted a speculative one — the first-touch
-    stream, the right training signal for a stride detector (resident
-    re-reads are traversal backtracking, not the miss frontier).
-    [h_issued] counts every speculative line the moment it is inserted
-    (so the ledger balances even for {!spec_fetch} calls the predictor
-    did not make itself); [h_useful]/[h_wasted] resolve speculative
-    lines; [h_reset] fires whenever the cache drops every line, so run
-    state learned from the old contents is forgotten. *)
-type spec_hooks = {
-  h_demand : addr:int -> len:int -> fresh:bool -> unit;
-  h_issued : int -> unit;
-  h_useful : int -> unit;
-  h_wasted : int -> unit;
-  h_reset : unit -> unit;
+type spec_stats = {
+  mutable issued : int;  (** speculative lines installed *)
+  mutable useful : int;  (** resolved by a demand touch *)
+  mutable wasted : int;  (** dropped still-speculative *)
+  mutable blocks : int;  (** block fills read *)
 }
 
-val set_spec_hooks : Dbgi.t -> spec_hooks -> bool
-(** Register the predictor's callbacks ([false] if [dbg] is unwrapped).
-    One predictor per cache: a second registration replaces the first. *)
+val set_readahead : Dbgi.t -> bool -> bool
+(** Turn block fills on or off ([false] if [dbg] is unwrapped).  The
+    first call attaches the ledger; turning read-ahead off keeps it
+    resolving lines already issued, so it still balances. *)
 
-val spec_line_size : Dbgi.t -> int option
-(** The line size of the cache behind [dbg], if any. *)
+val readahead : Dbgi.t -> bool
+(** Whether block fills are on ([false] when unwrapped). *)
 
-val spec_cached : Dbgi.t -> addr:int -> len:int -> bool
-(** Whether every line covering the range is resident.  No fill, no
-    recency touch, no stats — a predictor's residency query. *)
-
-val spec_peek : Dbgi.t -> addr:int -> len:int -> bytes option
-(** Read the range from resident lines only ([None] on any absence).
-    Sees locally buffered writes.  No touch, no promotion, no stats —
-    this is how a predictor decodes a link pointer it just prefetched
-    without perturbing the demand signal. *)
-
-val spec_fetch : Dbgi.t -> addr:int -> len:int -> int
-(** Speculatively read the line-aligned span covering [addr, addr+len)
-    in one backend round trip and insert every non-resident whole line,
-    marked speculative; returns the number of lines inserted (0 if all
-    were already resident — no read is issued).  A batch straddling an
-    unmapped hole inserts the mapped prefix: an exact interior
-    {!Dbgi.Target_fault} address retries once with the bytes below it, a
-    coarse fault retries once with the front half.  A span that still
-    faults re-raises — the caller swallows and counts it; a
-    {!Dbgi.Target_transient} likewise propagates without marking the
-    cache stale (nothing speculative is trusted). *)
-
-val spec_lines : Dbgi.t -> int
-(** Resident lines still marked speculative (unresolved). *)
+val spec_stats : Dbgi.t -> spec_stats option
+(** The read-ahead ledger, once {!set_readahead} attached it. *)

@@ -1,310 +1,33 @@
-(* Speculative prefetch over the data cache.
+(* Read-ahead over the data cache, as a switch and a ledger.
 
-   A cold pointer chase pays one backend round trip per hop: the engines
-   cannot read node N+1 before the link field of node N lands.  But the
-   access pattern is predictable — DUEL traversals walk allocation-order
-   runs (constant stride) and fixed link offsets ([-->next] is always
-   [base+8] for a given node type) — so this layer reads ahead of demand
-   in batched spans and inserts the lines into the dcache before the
-   engine asks.  Two signals drive it:
+   The policy itself lives in [Dcache.fill]: over a wire, a demand miss
+   reads the whole page block around its line in the one round trip it
+   pays anyway.  Separate speculative reads (a stride detector's spans,
+   a chase walker's hops) each cost a synchronous round trip of their
+   own, so at best they break even; carried on the demand trip, the
+   same bytes cost nothing extra.  This module is the name the session,
+   the backend specs and the benches know it by. *)
 
-   - stride runs: the demand stream's line bases advancing at a constant
-     stride issue one span read covering the next K lines;
-   - link-field history: engines hint each validated [-->] hop
-     ([hint_chase]); the predictor walks ahead of the engine by peeking
-     the link pointer out of resident lines and batch-fetching the
-     pointed-to nodes, learning the inter-node stride as it goes.
-
-   Mispredictions are harmless by construction: reads are idempotent,
-   speculative lines never replace resident ones (so buffered writes are
-   safe), generation coherence drops speculative lines with everything
-   else, and a faulting speculative read is swallowed here and only
-   counted — demand reads keep their exact fault attribution. *)
-
-module Codec = Duel_mem.Codec
-module Abi = Duel_ctype.Abi
-
-type config = {
-  depth : int;  (* lines per stride batch / nodes per chase batch *)
-  chase_depth : int;  (* hops to run ahead of the engine per hint *)
-  min_run : int;  (* constant-stride demands before speculating *)
-  max_stride : int;  (* bytes; larger line strides are left alone *)
-  max_batch : int;  (* span ceiling, under the RSP server's max_read *)
+type stats = Dcache.spec_stats = {
+  mutable issued : int;
+  mutable useful : int;
+  mutable wasted : int;
+  mutable blocks : int;
 }
 
-let default_config =
-  { depth = 8; chase_depth = 8; min_run = 2; max_stride = 256;
-    max_batch = 4096 }
-
-type stats = {
-  mutable hints : int;  (* hint_chase calls from the engines *)
-  mutable spans : int;  (* speculative span reads issued *)
-  mutable issued : int;  (* speculative lines inserted *)
-  mutable useful : int;  (* resolved by a demand touch *)
-  mutable wasted : int;  (* dropped still-speculative *)
-  mutable faulted : int;  (* speculative reads swallowed on a fault *)
-}
-
-let fresh_stats () =
-  { hints = 0; spans = 0; issued = 0; useful = 0; wasted = 0; faulted = 0 }
-
-type t = {
-  dbg : Dbgi.t;
-  cfg : config;
-  line : int;
-  mutable on : bool;
-  st : stats;
-  (* stride-run state over the demand stream's line bases *)
-  mutable last_base : int;  (* min_int = no demand seen yet *)
-  mutable stride : int;
-  mutable run : int;
-  mutable frontier : int;  (* furthest speculated base; min_int = none *)
-  (* link-field state fed by the engines' chase hints *)
-  mutable offsets : int list;  (* link offsets seen, most recent first *)
-  mutable chase_delta : int;  (* last inter-node delta observed *)
-  mutable chase_confirmed : bool;  (* two consecutive equal deltas *)
-}
-
-let reset_predictor p =
-  p.last_base <- min_int;
-  p.stride <- 0;
-  p.run <- 0;
-  p.frontier <- min_int;
-  p.chase_delta <- 0;
-  p.chase_confirmed <- false
-
-(* One speculative read, all failure swallowed: only demand accesses may
-   surface target faults. *)
-let fetch p ~addr ~len =
-  if len <= 0 then 0
-  else
-    match Dcache.spec_fetch p.dbg ~addr ~len with
-    | 0 -> 0
-    | n ->
-        (* [issued] itself is counted by the cache's [h_issued] hook *)
-        p.st.spans <- p.st.spans + 1;
-        n
-    | exception Dbgi.Target_fault _ ->
-        p.st.faulted <- p.st.faulted + 1;
-        0
-    | exception Dbgi.Target_transient _ ->
-        p.st.faulted <- p.st.faulted + 1;
-        0
-
-(* The stride signal.  First-touch line bases advancing [min_run] times
-   at one stride open a speculated window [depth] strides deep; the
-   window is refreshed when demand closes within half of it, so a steady
-   run costs one span read per [depth] lines.  Only first touches train
-   the detector ([fresh] from the cache): a depth-first traversal
-   re-reads parent nodes every time it backtracks, and those resident
-   re-reads would break every run even though the miss frontier itself
-   is a perfect stride. *)
-let on_demand p ~addr ~len ~fresh =
-  ignore len;
-  if not fresh then ()
-  else
-  let b = addr land lnot (p.line - 1) in
-  if p.last_base = min_int then p.last_base <- b
-  else begin
-    let d = b - p.last_base in
-    if d <> 0 then begin
-      if d = p.stride then p.run <- p.run + 1
-      else begin
-        p.stride <- d;
-        p.run <- 1;
-        p.frontier <- min_int
-      end;
-      p.last_base <- b;
-      if p.run >= p.cfg.min_run && abs p.stride <= p.cfg.max_stride then begin
-        let remaining =
-          if p.frontier = min_int then 0 else (p.frontier - b) / p.stride
-        in
-        if p.frontier = min_int || remaining <= p.cfg.depth / 2 then begin
-          let from =
-            if p.frontier = min_int || remaining < 0 then b + p.stride
-            else p.frontier + p.stride
-          in
-          let last = from + ((p.cfg.depth - 1) * p.stride) in
-          let lo = min from last and hi = max from last + p.line in
-          let lo, hi =
-            if hi - lo <= p.cfg.max_batch then (lo, hi)
-            else if p.stride > 0 then (lo, lo + p.cfg.max_batch)
-            else (hi - p.cfg.max_batch, hi)
-          in
-          let lo = max lo 0 in
-          if hi > lo then begin
-            ignore (fetch p ~addr:lo ~len:(hi - lo));
-            p.frontier <- last
-          end
-        end
-      end
-    end
-  end
-
-(* --- registry, by wrapped interface -------------------------------------- *)
-
-let registry : (Dbgi.t * t) list ref = ref []
-
-let find dbg =
-  Option.map snd (List.find_opt (fun (d, _) -> d == dbg) !registry)
-
-let attach ?(config = default_config) dbg =
-  match find dbg with
-  | Some p -> Some p
-  | None -> (
-      match Dcache.spec_line_size dbg with
-      | None -> None
-      | Some line ->
-          let p =
-            {
-              dbg;
-              cfg = config;
-              line;
-              on = true;
-              st = fresh_stats ();
-              last_base = min_int;
-              stride = 0;
-              run = 0;
-              frontier = min_int;
-              offsets = [];
-              chase_delta = 0;
-              chase_confirmed = false;
-            }
-          in
-          (* useful/wasted keep resolving while disabled: lines
-             speculated before a [set prefetch off] still settle, so the
-             issued = useful + wasted accounting always balances *)
-          ignore
-            (Dcache.set_spec_hooks dbg
-               {
-                 Dcache.h_demand =
-                   (fun ~addr ~len ~fresh ->
-                     if p.on then on_demand p ~addr ~len ~fresh);
-                 h_issued = (fun n -> p.st.issued <- p.st.issued + n);
-                 h_useful = (fun n -> p.st.useful <- p.st.useful + n);
-                 h_wasted = (fun n -> p.st.wasted <- p.st.wasted + n);
-                 h_reset = (fun () -> reset_predictor p);
-               });
-          registry := (dbg, p) :: !registry;
-          Some p)
-
-let is_attached dbg = find dbg <> None
-let enabled dbg = match find dbg with Some p -> p.on | None -> false
-
-let set_enabled dbg on =
-  match find dbg with
-  | None -> false
-  | Some p ->
-      p.on <- on;
-      if not on then reset_predictor p;
-      true
-
-let stats dbg = Option.map (fun p -> p.st) (find dbg)
-
-let reset_stats dbg =
-  match find dbg with
-  | None -> ()
-  | Some p ->
-      let z = fresh_stats () in
-      p.st.hints <- z.hints;
-      p.st.spans <- z.spans;
-      p.st.issued <- z.issued;
-      p.st.useful <- z.useful;
-      p.st.wasted <- z.wasted;
-      p.st.faulted <- z.faulted
-
-(* The link-field signal.  The engines call this for every validated
-   [-->] hop: [target] is the node the traversal will open next, whose
-   lines the readable-probe just made resident; [link_offset] is where
-   this chase's link field lives inside a node; [width] the node size.
-   Walk ahead of the engine: peek the link pointer out of resident
-   lines, speculatively fetch the pointed-to node (batching [depth]
-   nodes per span once the inter-node stride is confirmed), and repeat
-   up to [chase_depth] hops.  Every step is best-effort — a peek miss or
-   swallowed fault just ends the walk. *)
-let hint_chase dbg ~link_offset ~width ~target =
-  match find dbg with
-  | None -> ()
-  | Some p ->
-      if p.on then begin
-        p.st.hints <- p.st.hints + 1;
-        let psz = p.dbg.Dbgi.abi.Abi.ptr_size in
-        if
-          link_offset >= 0
-          && link_offset + psz <= p.cfg.max_batch
-          && width > 0 && target <> 0
-        then begin
-          if not (List.mem link_offset p.offsets) then
-            p.offsets <-
-              link_offset
-              :: (if List.length p.offsets >= 8 then
-                    List.filteri (fun i _ -> i < 7) p.offsets
-                  else p.offsets);
-          let span = max width (link_offset + psz) in
-          let fetch_node node =
-            (* batch along the learned inter-node stride when we trust
-               it, otherwise just this node's lines *)
-            if
-              p.chase_confirmed && p.chase_delta <> 0
-              && abs p.chase_delta <= p.cfg.max_batch / p.cfg.depth
-            then begin
-              let last = node + (p.chase_delta * (p.cfg.depth - 1)) in
-              let lo = min node last and hi = max node last + span in
-              let lo, hi =
-                if hi - lo <= p.cfg.max_batch then (lo, hi)
-                else if p.chase_delta > 0 then (lo, lo + p.cfg.max_batch)
-                else (hi - p.cfg.max_batch, hi)
-              in
-              let lo = max lo 0 in
-              fetch p ~addr:lo ~len:(hi - lo)
-            end
-            else begin
-              (* No trusted inter-node stride yet (a tree's left/right
-                 deltas never settle): assume allocation-order locality —
-                 the builders lay children out right after their parent —
-                 and over-fetch forward.  Speculative inserts skip
-                 resident lines, so overlap with the stride window or an
-                 already-walked region costs nothing. *)
-              let len =
-                min p.cfg.max_batch (max (span * p.cfg.depth) (p.line * p.cfg.depth))
-              in
-              fetch p ~addr:node ~len
-            end
-          in
-          let rec go node hops =
-            if hops > 0 && node <> 0 then begin
-              if not (Dcache.spec_cached dbg ~addr:node ~len:span) then
-                ignore (fetch_node node);
-              match
-                Dcache.spec_peek dbg ~addr:(node + link_offset) ~len:psz
-              with
-              | None -> ()
-              | Some b ->
-                  let nxt =
-                    Int64.to_int (Codec.decode_int p.dbg.Dbgi.abi b ~signed:false)
-                  in
-                  let d = nxt - node in
-                  if nxt <> 0 && d <> 0 then begin
-                    if d = p.chase_delta then p.chase_confirmed <- true
-                    else begin
-                      p.chase_delta <- d;
-                      p.chase_confirmed <- false
-                    end;
-                    go nxt (hops - 1)
-                  end
-            end
-          in
-          go target p.cfg.chase_depth
-        end
-      end
+let stats = Dcache.spec_stats
+let is_attached dbg = stats dbg <> None
+let attach dbg = is_attached dbg || Dcache.set_readahead dbg true
+let enabled = Dcache.readahead
+let set_enabled dbg on = is_attached dbg && Dcache.set_readahead dbg on
 
 let to_lines ?(on = true) st =
   [
-    Printf.sprintf "prefetch: %s (%d speculative lines in %d span reads)"
-      (if on then "on" else "off")
-      st.issued st.spans;
-    Printf.sprintf "resolved: %d useful, %d wasted; %d speculative faults \
-                    swallowed"
-      st.useful st.wasted st.faulted;
-    Printf.sprintf "signals: %d chase hints from the engines" st.hints;
+    Printf.sprintf "prefetch: %s (page-block fills on wires, one line direct)"
+      (if on then "on" else "off");
+    Printf.sprintf "read-ahead: %d speculative lines in %d block fills"
+      st.issued st.blocks;
+    Printf.sprintf "resolved: %d useful, %d wasted, %d still resident"
+      st.useful st.wasted
+      (st.issued - st.useful - st.wasted);
   ]

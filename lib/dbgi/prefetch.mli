@@ -1,29 +1,22 @@
-(** Speculative prefetch over the {!Dcache}: read target memory ahead of
-    the demand stream, in batched spans, so cold pointer chases stop
-    paying one round trip per hop.
+(** Read-ahead over the {!Dcache}: the switch and the ledger.
 
-    Two prediction signals:
-
-    {ul
-    {- {e Stride runs} — the demand stream's line bases advancing at a
-       constant stride (array sweeps, allocation-order traversals) open
-       a speculated window of the next [depth] lines, read in one
-       backend round trip and refreshed as demand approaches its edge.}
-    {- {e Link-field history} — the engines hint every validated [-->]
-       hop ({!hint_chase} with the link field's offset inside the node);
-       the predictor walks ahead of the engine, peeking each link
-       pointer out of resident lines and batch-fetching the pointed-to
-       nodes, learning the inter-node stride as it goes.}}
+    With read-ahead on, a demand miss on a wire backend ({!Dbgi.Loopback}
+    or {!Dbgi.Socket}) fills the whole 4 KiB-aligned block around its
+    line in the same round trip, so a cold traversal of nearby nodes
+    stops paying one round trip per line.  In-process backends keep
+    one-line fills.  See {!Dcache.set_readahead} for the policy.
 
     {2 Harmlessness}
 
-    A misprediction can slow nothing down and corrupt nothing: reads are
-    idempotent; speculative lines never replace resident lines (buffered
-    writes always live in resident lines, so they cannot be clobbered);
-    coherence invalidations drop speculative lines with everything else
-    and reset the predictor; and a faulting speculative read is swallowed
-    here and only counted — a demand read reaching the same hole still
-    faults with its exact [{addr; len}] attribution.
+    Read-ahead corrupts nothing, and adds a round trip in one case
+    only: it adds bytes to reads that were being paid for anyway;
+    speculative lines never replace resident lines (buffered writes
+    always live in resident lines, so they cannot be clobbered);
+    coherence invalidations drop them with everything else; and a block
+    read that faults falls back to the one-line fill, so a demand fault
+    keeps its exact [{addr; len}].  That fallback is the one extra round
+    trip: a demand read in an unmapped page (a dangling pointer probed
+    by [-->]) costs two reads where a plain cache pays one.
 
     {2 Accounting}
 
@@ -31,56 +24,29 @@
     demand touch, [wasted] when dropped still-speculative.  After the
     cache quiesces (e.g. an invalidate), [useful + wasted = issued]. *)
 
-type config = {
-  depth : int;  (** lines per stride batch / nodes per chase batch *)
-  chase_depth : int;  (** hops to run ahead of the engine per hint *)
-  min_run : int;  (** constant-stride demands before speculating *)
-  max_stride : int;  (** bytes; larger line strides are left alone *)
-  max_batch : int;
-      (** span ceiling in bytes, kept under the RSP server's max_read *)
-}
-
-val default_config : config
-(** 8-line batches, 8 hops of chase-ahead, 2-demand runs, 256-byte
-    stride ceiling, 4 KiB span ceiling. *)
-
-type stats = {
-  mutable hints : int;  (** {!hint_chase} calls from the engines *)
-  mutable spans : int;  (** speculative span reads issued *)
-  mutable issued : int;  (** speculative lines inserted *)
+type stats = Dcache.spec_stats = {
+  mutable issued : int;  (** speculative lines installed *)
   mutable useful : int;  (** resolved by a demand touch *)
   mutable wasted : int;  (** dropped still-speculative *)
-  mutable faulted : int;  (** speculative reads swallowed on a fault *)
+  mutable blocks : int;  (** block fills read *)
 }
 
-type t
-(** One predictor, attached to one cache-wrapped interface. *)
+val attach : Dbgi.t -> bool
+(** Turn read-ahead on for a {!Dcache.wrap}ped interface ([false] if
+    [dbg] has no cache behind it).  Idempotent: an attached interface
+    keeps its ledger and its switch. *)
 
-val attach : ?config:config -> Dbgi.t -> t option
-(** Attach a predictor to a {!Dcache.wrap}ped interface ([None] if [dbg]
-    has no cache behind it).  Idempotent: re-attaching returns the
-    existing predictor.  The predictor starts enabled. *)
-
-val find : Dbgi.t -> t option
 val is_attached : Dbgi.t -> bool
 
 val enabled : Dbgi.t -> bool
-(** Whether the attached predictor is speculating ([false] when none is
-    attached). *)
+(** Whether block fills are on ([false] when nothing is attached). *)
 
 val set_enabled : Dbgi.t -> bool -> bool
-(** Turn speculation on or off ([false] if no predictor is attached).
-    Disabling stops new speculation but keeps resolving already-issued
-    lines, so the accounting still balances. *)
-
-val hint_chase : Dbgi.t -> link_offset:int -> width:int -> target:int -> unit
-(** The engines' [-->] hint: the traversal just validated a hop to the
-    node at [target] (size [width]) whose link field lives at
-    [link_offset] inside the node.  No-op without an attached, enabled
-    predictor; never raises. *)
+(** Turn block fills on or off ([false] if nothing is attached).  Off
+    means one-line fills; lines already issued keep resolving, so the
+    ledger still balances. *)
 
 val stats : Dbgi.t -> stats option
-val reset_stats : Dbgi.t -> unit
 
 val to_lines : ?on:bool -> stats -> string list
 (** Human-readable counter block for [info prefetch]. *)

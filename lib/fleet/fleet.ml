@@ -226,19 +226,11 @@ let shard_dbgi ?(cache = true) tg =
   in
   let base = tg.wrap (Dbgi.serialized tg.lock base) in
   if not cache then base
-  else begin
-    let dbg =
-      Dcache.wrap
-        ~config:
-          {
-            Dcache.default_config with
-            Dcache.stale_policy = Dcache.Probe (fun () -> generation tg);
-          }
-        base
-    in
-    (* per-target predictor sharing the member's generation: a write to
-       this target drops its speculated lines on every shard, and only
-       this target's *)
-    ignore (Duel_dbgi.Prefetch.attach dbg);
-    dbg
-  end
+  else
+    Dcache.wrap
+      ~config:
+        {
+          Dcache.default_config with
+          Dcache.stale_policy = Dcache.Probe (fun () -> generation tg);
+        }
+      base

@@ -32,22 +32,20 @@ let cval_of_wire s =
   | 'f' -> Dbgi.Cfloat (Ctype.double, Int64.float_of_bits v)
   | k -> failwith (Printf.sprintf "rsp: bad cval kind %c" k)
 
-let connect ~exchange di =
-  let rpc payload =
-    let reply = exchange (Packet.encode payload) in
-    if reply = "-" then failwith "rsp: remote rejected packet (NAK)"
-    else
-      try Packet.decode reply
-      with Packet.Malformed msg -> failwith ("rsp: malformed reply: " ^ msg)
-  in
+(* [rpc] carries one payload each way, the reply in place: a memory
+   read decodes its hex straight out of the reply frame. *)
+let of_slices ~rpc:slice di =
+  let rpc payload = Packet.to_string (slice payload) in
   let is_error r = String.length r >= 1 && r.[0] = 'E' in
   let get_bytes ~addr ~len =
     if len = 0 then Bytes.create 0
     else
-      let reply = rpc (Printf.sprintf "m%x,%x" addr len) in
-      if is_error reply then raise (Dbgi.Target_fault { addr; len })
+      let { Packet.s; off; len = n } =
+        slice (Printf.sprintf "m%x,%x" addr len)
+      in
+      if n >= 1 && s.[off] = 'E' then raise (Dbgi.Target_fault { addr; len })
       else
-        let data = Packet.bytes_of_hex reply in
+        let data = Packet.bytes_of_hex_sub s off n in
         if Bytes.length data <> len then failwith "rsp: short memory reply"
         else data
   in
@@ -106,6 +104,19 @@ let connect ~exchange di =
     caps = Dbgi.basic_caps ~transport:Dbgi.Loopback "rsp";
     health = Dbgi.always_healthy;
   }
+
+let of_rpc ~rpc di =
+  of_slices di ~rpc:(fun payload ->
+      let s = rpc payload in
+      { Packet.s; off = 0; len = String.length s })
+
+let connect ~exchange di =
+  of_slices di ~rpc:(fun payload ->
+      let reply = exchange (Packet.encode payload) in
+      if reply = "-" then failwith "rsp: remote rejected packet (NAK)"
+      else
+        try Packet.decode_slice reply
+        with Packet.Malformed msg -> failwith ("rsp: malformed reply: " ^ msg))
 
 let loopback ?(cache = true) ?(prefetch = true) inf =
   let server = Server.create inf in

@@ -23,11 +23,16 @@ val debug_info_of_inferior : Duel_target.Inferior.t -> debug_info
 val connect : exchange:(string -> string) -> debug_info -> Duel_dbgi.Dbgi.t
 (** @raise Failure on protocol errors. *)
 
+val of_rpc : rpc:(string -> string) -> debug_info -> Duel_dbgi.Dbgi.t
+(** [connect] for a transport that already frames, checks and deframes:
+    [rpc] carries one payload each way. *)
+
 val loopback :
   ?cache:bool -> ?prefetch:bool -> Duel_target.Inferior.t -> Duel_dbgi.Dbgi.t
 (** A ready-made client wired to an in-process {!Server} over the framed
     packet format (every byte still goes through encode/decode).  By
     default wrapped in {!Duel_dbgi.Dcache} (with a write-generation
-    coherence probe on the in-process memory) so that traversals cost one
-    packet per cache line instead of one per scalar; [~cache:false] gives
-    the raw one-packet-per-access client. *)
+    coherence probe on the in-process memory) with read-ahead, so that
+    traversals cost one packet per missed page block instead of one per
+    scalar ([~prefetch:false]: one per line); [~cache:false] gives the
+    raw one-packet-per-access client. *)

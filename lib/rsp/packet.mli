@@ -17,6 +17,16 @@ val decode : string -> string
     encoding.  The string must be exactly one frame ([$...#xx]).
     @raise Malformed on bad framing or checksum. *)
 
+(** A payload in place: [len] bytes of [s] from [off]. *)
+type slice = { s : string; off : int; len : int }
+
+val decode_slice : string -> slice
+(** {!decode} without the copy: a frame that needs no unescaping yields
+    its payload as a slice of the frame itself, so a page-block read's
+    8 KiB of hex is never copied before it is decoded. *)
+
+val to_string : slice -> string
+
 (** Incremental deframing for byte-stream transports.
 
     A TCP or serial connection delivers frames split and coalesced
@@ -56,3 +66,7 @@ end
 val hex_of_bytes : bytes -> string
 val bytes_of_hex : string -> bytes
 (** @raise Malformed on odd length or non-hex digits. *)
+
+val bytes_of_hex_sub : string -> int -> int -> bytes
+(** [bytes_of_hex_sub s off len] decodes the [len] hex digits of [s]
+    from [off]. *)

@@ -123,10 +123,12 @@ and query srv payload =
   in
   first attempts
 
+let reply_frame srv payload =
+  match handle_payload srv payload with
+  | reply -> Packet.encode reply
+  | exception Packet.Malformed _ -> Packet.encode "E00"
+
 let handle srv raw =
   match Packet.decode raw with
   | exception Packet.Malformed _ -> "-"
-  | payload -> (
-      match handle_payload srv payload with
-      | reply -> Packet.encode reply
-      | exception Packet.Malformed _ -> Packet.encode "E00")
+  | payload -> reply_frame srv payload

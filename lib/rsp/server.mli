@@ -44,6 +44,9 @@ val create : ?limits:limits -> Duel_target.Inferior.t -> t
 val handle_payload : t -> string -> string
 (** Process one decoded payload, returning the reply payload. *)
 
+val reply_frame : t -> string -> string
+(** {!handle_payload} framed, a protocol error as [E00]. *)
+
 val handle : t -> string -> string
 (** Process one framed packet ([$...#xx]) and return the framed reply.
     Malformed packets get a NAK ["-"]. *)

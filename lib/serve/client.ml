@@ -157,10 +157,10 @@ let connect ?pump ?timeout ?retry addr =
   of_fd ?pump ?timeout ?retry fd
 
 let close t =
-  (* release buffered writes while the socket is still alive: the dcache
-     registry outlives this client, and a later [Dcache.flush_all]
-     barrier must not find dirty lines behind a dead connection *)
-  List.iter (fun d -> try Dcache.flush d with _ -> ()) t.caches;
+  (* release buffered writes while the socket is still alive, and drop
+     this client's caches from the registries *)
+  List.iter (fun d -> try Dcache.release d with _ -> ()) t.caches;
+  t.caches <- [];
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 (* --- backoff ------------------------------------------------------------- *)
@@ -306,14 +306,14 @@ let resend_safe framed =
       || pre "qDuelUse:" || pre "qDuelTargets"
   | _ -> false
 
-let exchange t framed =
+let exchange_payload t framed =
   drain_stale t;
   let may_resend = resend_safe framed in
   let rec attempt n =
     send_all t framed;
     let deadline = Unix.gettimeofday () +. t.retry.reply_timeout in
     match await_reply t deadline with
-    | `Frame p -> Packet.encode p
+    | `Frame p -> p
     | `Nak ->
         (* the server rejected a damaged request before executing it:
            resending is always safe *)
@@ -338,7 +338,8 @@ let exchange t framed =
   in
   attempt 1
 
-let rpc t payload = Packet.decode (exchange t (Packet.encode payload))
+let exchange t framed = Packet.encode (exchange_payload t framed)
+let rpc t payload = exchange_payload t (Packet.encode payload)
 
 let recv_reply t =
   let deadline = Unix.gettimeofday () +. t.retry.reply_timeout in
@@ -741,7 +742,7 @@ let eval_all t ids expr =
 (* --- the network debugger interface -------------------------------------- *)
 
 let dbgi ?(cache = true) ?(prefetch = true) t di =
-  let raw = Duel_rsp.Client.connect ~exchange:(exchange t) di in
+  let raw = Duel_rsp.Client.of_rpc ~rpc:(rpc t) di in
   (* [mark_stale] needs the *wrapped* interface, which doesn't exist
      until after we build the frames hook it closes over. *)
   let wrapped = ref None in
@@ -785,8 +786,8 @@ let dbgi ?(cache = true) ?(prefetch = true) t di =
     in
     wrapped := Some dbg;
     t.caches <- dbg :: t.caches;
-    (* speculative reads batch beautifully here: one [m addr,len] wire
-       exchange per span instead of one per line *)
+    (* a miss here is a socket round trip: read-ahead carries the whole
+       page block around the line on it *)
     if prefetch then ignore (Duel_dbgi.Prefetch.attach dbg);
     dbg
   end

@@ -141,7 +141,8 @@ val exchange : t -> string -> string
     rejection ([Protocol]). *)
 
 val rpc : t -> string -> string
-(** {!exchange} at the payload level (encode, exchange, decode). *)
+(** {!exchange} at the payload level: the reply frame's payload, as the
+    deframer delivered it. *)
 
 val recv_reply : t -> string
 (** Await one reply payload without sending anything — for requests
@@ -218,4 +219,4 @@ val dbgi :
 (** The network debugger interface over this connection (see the module
     preamble).  [~cache:false] gives the raw one-round-trip-per-access
     client with no coherence obligations; [~prefetch:false] keeps the
-    cache but disables speculative read-ahead into it. *)
+    cache but fills one line per miss instead of its page block. *)

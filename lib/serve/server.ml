@@ -904,12 +904,7 @@ let dispatch t c payload =
     (* plain RSP traffic: memory, allocation, calls, frames, handshake —
        aimed at the connection's target (its bound fleet slot, or the
        server's single shared target), under that target's lock *)
-    match
-      conn_locked t c (fun () ->
-          Rsp_server.handle_payload (conn_rsp t c) payload)
-    with
-    | reply -> frame reply
-    | exception Packet.Malformed _ -> frame "E00"
+    conn_locked t c (fun () -> Rsp_server.reply_frame (conn_rsp t c) payload)
 
 let handle_event t c = function
   | Packet.Deframer.Ack -> ()

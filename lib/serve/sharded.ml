@@ -73,9 +73,6 @@ let create ?(config = Server.default_config) ?fleet ~shards:n inf =
               (Dbgi.serialized lock
                  (Duel_target.Backend.direct ~cache:false inf))
           in
-          (* a per-shard predictor over the per-shard cache: speculation
-             state is shard-local, coherence rides the shared generation *)
-          ignore (Duel_dbgi.Prefetch.attach dbgi);
           Server.create ~config ~dbgi ~plans ~stop ~target_lock:lock inf
   in
   let shards = Array.init n shard in

@@ -1,7 +1,7 @@
 module Memory = Duel_mem.Memory
 module Dbgi = Duel_dbgi.Dbgi
 
-let direct ?(cache = true) ?(prefetch = true) inf =
+let direct ?(cache = true) inf =
   let mem = Inferior.mem inf in
   let raw =
     {
@@ -29,16 +29,12 @@ let direct ?(cache = true) ?(prefetch = true) inf =
     (* The memory is in-process, so the cache snoops its write generation:
        stores that bypass the interface (the mini-C interpreter, scenario
        builders) invalidate on the next access instead of going stale. *)
-    let dbg =
-      Duel_dbgi.Dcache.wrap
-        ~config:
-          {
-            Duel_dbgi.Dcache.default_config with
-            stale_policy = Duel_dbgi.Dcache.Probe (fun () -> Memory.generation mem);
-          }
-        raw
-    in
-    if prefetch then ignore (Duel_dbgi.Prefetch.attach dbg);
-    dbg
+    Duel_dbgi.Dcache.wrap
+      ~config:
+        {
+          Duel_dbgi.Dcache.default_config with
+          stale_policy = Duel_dbgi.Dcache.Probe (fun () -> Memory.generation mem);
+        }
+      raw
   end
   else raw

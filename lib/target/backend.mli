@@ -9,10 +9,9 @@
 
     By default the interface is wrapped in {!Duel_dbgi.Dcache} with a
     coherence probe on the inferior's memory, so direct stores (the
-    mini-C interpreter, scenario builders) invalidate it automatically,
-    and a {!Duel_dbgi.Prefetch} predictor speculates into that cache;
+    mini-C interpreter, scenario builders) invalidate it automatically;
     pass [~cache:false] for the raw, uncached interface (the inferior's
-    own store path, conformance baselines) or [~prefetch:false] for a
-    cache with no speculation (differential baselines). *)
+    own store path, conformance baselines).  No read-ahead is attached:
+    in-process memory has no round trip to amortise. *)
 
-val direct : ?cache:bool -> ?prefetch:bool -> Inferior.t -> Duel_dbgi.Dbgi.t
+val direct : ?cache:bool -> Inferior.t -> Duel_dbgi.Dbgi.t

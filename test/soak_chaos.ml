@@ -320,10 +320,10 @@ let soak_seed ~duration seed =
         injected := !injected + st.Chaos.read_faults + st.Chaos.write_faults)
       built.Duel_backend.Backend.b_rigs;
     built.Duel_backend.Backend.b_close ();
-    (* the prefetching chaotic stack: speculative read-ahead under fault
+    (* the prefetching chaotic stack: block-fill read-ahead under fault
        injection.  Retried demand reads must not double-resolve
-       speculated lines, speculative faults stay swallowed, and after
-       every round the quiesced ledger must balance exactly. *)
+       speculated lines, a transient block read inserts nothing, and
+       after every round the quiesced ledger must balance exactly. *)
     let built =
       match
         Duel_backend.Backend.of_string

@@ -27,8 +27,8 @@ let backends =
        bare and with the probe-less (Explicit-policy) client cache *)
     "serve:all";
     "serve:all+cache";
-    (* the traversal prefetch planner over every transport: speculation
-       must be observable only in its own counters *)
+    (* read-ahead over every transport (page-block fills on the wires,
+       one-line fills direct): observable only in its own counters *)
     "direct:all+prefetch";
     "rsp:all+cache+prefetch";
     "serve:all+prefetch";

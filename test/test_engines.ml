@@ -138,5 +138,39 @@ let prop_engines_agree =
       let (l1, o1, d1), (l2, o2, d2) = run_both query in
       l1 = l2 && o1 = o2 && d1 = 0 && d2 = 0)
 
+(* Directed goldens, checked on all four engines.  An [if]/[?:]
+   condition keeps its [left->key] with-scope open until its sequence
+   ends; that scope must not capture the branch's [left].  The engines
+   agreed with each other while all four had this wrong, so only a
+   golden catches it. *)
+let four_engines =
+  [
+    ("ast", Session.Seq_engine, false);
+    ("ir", Session.Seq_engine, true);
+    ("sm", Session.Sm_engine, true);
+    ("vm", Session.Vm_engine, true);
+  ]
+
+let directed_case (query, expected) =
+  Support.case ("directed golden on every engine: " ^ query) (fun () ->
+      List.iter
+        (fun (name, engine, lower) ->
+          let k = kit ~engine () in
+          k.session.Session.lower <- lower;
+          Alcotest.(check (list string)) name expected (exec k query);
+          Alcotest.(check int) (name ^ ": scope depth restored") 0
+            (Env.scope_depth k.session.Session.env))
+        four_engines)
+
+let directed =
+  [
+    ( "root-->(if (left && left->key == 3) left else 0)->key",
+      [ "root->key = 9"; "root->left->key = 3" ] );
+    ( "root-->(left && left->key == 3 ? left : 0)->key",
+      [ "root->key = 9"; "root->left->key = 3" ] );
+  ]
+
 let suite =
-  List.map corpus_case corpus @ [ QCheck_alcotest.to_alcotest prop_engines_agree ]
+  List.map corpus_case corpus
+  @ [ QCheck_alcotest.to_alcotest prop_engines_agree ]
+  @ List.map directed_case directed

@@ -59,6 +59,249 @@ let prop_packet_roundtrip =
     QCheck2.Gen.(string_size (int_range 0 200))
     (fun payload -> Packet.decode (Packet.encode payload) = payload)
 
+(* --- the codec against its per-character reference ------------------- *)
+
+(* The codec as it was before its whole-string fast paths: escape and
+   unescape one [Buffer.add_char] at a time, deframe one character at a
+   time.  The fast paths must put the same bytes on the wire, decode the
+   same payloads and report the same damage. *)
+module Reference = struct
+  let escape payload =
+    let b = Buffer.create (String.length payload + 8) in
+    String.iter
+      (fun c ->
+        if c = '$' || c = '#' || c = '}' || c = '*' then begin
+          Buffer.add_char b '}';
+          Buffer.add_char b (Char.chr (Char.code c lxor 0x20))
+        end
+        else Buffer.add_char b c)
+      payload;
+    Buffer.contents b
+
+  let encode payload =
+    let escaped = escape payload in
+    Printf.sprintf "$%s#%02x" escaped (Packet.checksum escaped)
+
+  let unescape body =
+    let b = Buffer.create (String.length body) in
+    let rec go i =
+      if i < String.length body then
+        match body.[i] with
+        | '}' ->
+            if i + 1 >= String.length body then
+              raise (Packet.Malformed "trailing escape");
+            Buffer.add_char b (Char.chr (Char.code body.[i + 1] lxor 0x20));
+            go (i + 2)
+        | '*' ->
+            if i + 1 >= String.length body then
+              raise (Packet.Malformed "trailing RLE");
+            if Buffer.length b = 0 then
+              raise (Packet.Malformed "RLE with no prior byte");
+            let count = Char.code body.[i + 1] - 29 in
+            if count < 3 then raise (Packet.Malformed "RLE count too small");
+            let prev = Buffer.nth b (Buffer.length b - 1) in
+            for _ = 1 to count do
+              Buffer.add_char b prev
+            done;
+            go (i + 2)
+        | c ->
+            Buffer.add_char b c;
+            go (i + 1)
+    in
+    go 0;
+    Buffer.contents b
+
+  type state = Idle | Body | Check1 | Check2 of char
+
+  type t = { mutable state : state; body : Buffer.t; mutable junk : int }
+
+  let create () = { state = Idle; body = Buffer.create 64; junk = 0 }
+
+  let hex_val c =
+    match c with
+    | '0' .. '9' -> Some (Char.code c - 48)
+    | 'a' .. 'f' -> Some (Char.code c - 87)
+    | 'A' .. 'F' -> Some (Char.code c - 55)
+    | _ -> None
+
+  let finish t c1 c2 =
+    let body = Buffer.contents t.body in
+    Buffer.clear t.body;
+    t.state <- Idle;
+    match (hex_val c1, hex_val c2) with
+    | Some hi, Some lo ->
+        if Packet.checksum body <> (hi lsl 4) lor lo then
+          Packet.Deframer.Bad "checksum mismatch"
+        else begin
+          match unescape body with
+          | payload -> Packet.Deframer.Frame payload
+          | exception Packet.Malformed msg -> Packet.Deframer.Bad msg
+        end
+    | _ -> Packet.Deframer.Bad "bad checksum digits"
+
+  let feed t s =
+    let events = ref [] in
+    let emit e = events := e :: !events in
+    String.iter
+      (fun c ->
+        match t.state with
+        | Idle -> (
+            match c with
+            | '$' -> t.state <- Body
+            | '+' -> emit Packet.Deframer.Ack
+            | '-' -> emit Packet.Deframer.Nak
+            | _ -> t.junk <- t.junk + 1)
+        | Body -> (
+            match c with
+            | '#' -> t.state <- Check1
+            | '$' ->
+                Buffer.clear t.body;
+                emit (Packet.Deframer.Bad "unterminated frame")
+            | c -> Buffer.add_char t.body c)
+        | Check1 ->
+            if c = '$' then begin
+              Buffer.clear t.body;
+              emit (Packet.Deframer.Bad "frame cut at checksum");
+              t.state <- Body
+            end
+            else t.state <- Check2 c
+        | Check2 c1 ->
+            if c = '$' then begin
+              Buffer.clear t.body;
+              emit (Packet.Deframer.Bad "frame cut at checksum");
+              t.state <- Body
+            end
+            else emit (finish t c1 c))
+      s;
+    List.rev !events
+
+  let decode raw =
+    let n = String.length raw in
+    if n < 4 || raw.[0] <> '$' || raw.[n - 3] <> '#' then
+      raise (Packet.Malformed "missing $...#xx frame");
+    let d = create () in
+    match feed d raw with
+    | [ Packet.Deframer.Frame payload ] when d.state = Idle && d.junk = 0 ->
+        payload
+    | [ Packet.Deframer.Bad msg ] -> raise (Packet.Malformed msg)
+    | _ -> raise (Packet.Malformed "not exactly one frame")
+end
+
+(* Payload bytes that the framing must escape turn up often. *)
+let gen_payload =
+  QCheck2.Gen.(
+    string_size
+      ~gen:(frequency [ (1, oneofl [ '$'; '#'; '}'; '*' ]); (5, printable) ])
+      (int_range 0 120))
+
+let frame_of_body body = Printf.sprintf "$%s#%02x" body (Packet.checksum body)
+
+(* Raw frames as a stub may send them: clean, run-length encoded, with
+   a broken checksum, a broken escape or RLE, or cut short. *)
+let gen_frame =
+  let open QCheck2.Gen in
+  let rle =
+    map2
+      (fun c n ->
+        (* count characters '#' and '$' are never sent: gdbserver skips
+           the lengths that would produce them *)
+        let n = if n + 29 = 35 || n + 29 = 36 then n + 2 else n in
+        Printf.sprintf "%c*%c" c (Char.chr (n + 29)))
+      (oneofl [ '0'; 'a'; 'f'; ' '; 'z' ])
+      (int_range 3 90)
+  in
+  frequency
+    [
+      (3, map Packet.encode gen_payload);
+      ( 2,
+        map2
+          (fun a runs -> frame_of_body (a ^ String.concat "" runs))
+          (string_size ~gen:(char_range 'a' 'z') (int_range 1 5))
+          (list_size (int_range 1 4) rle) );
+      ( 1,
+        map
+          (fun p ->
+            let f = Packet.encode p in
+            String.sub f 0 (String.length f - 2) ^ "zz")
+          gen_payload );
+      ( 1,
+        map
+          (fun p ->
+            let f = Packet.encode p in
+            let n = String.length f in
+            let bad =
+              (Packet.checksum (String.sub f 1 (n - 4)) + 1) land 0xff
+            in
+            String.sub f 0 (n - 2) ^ Printf.sprintf "%02x" bad)
+          gen_payload );
+      (1, map (fun p -> frame_of_body (p ^ "}")) (string_size (int_range 0 5)));
+      (1, return (frame_of_body "*x"));
+      (1, return (frame_of_body "a*\031"));
+      ( 1,
+        map
+          (fun p -> "$" ^ p ^ "#")
+          (string_size ~gen:printable (int_range 0 8)) );
+    ]
+
+let prop_encode_matches_reference =
+  QCheck2.Test.make ~name:"codec: encode puts the reference bytes on the wire"
+    ~count:500 gen_payload (fun p ->
+      Packet.encode p = Reference.encode p
+      && Packet.decode (Packet.encode p) = p)
+
+let outcome f x =
+  match f x with v -> Ok v | exception Packet.Malformed m -> Error m
+
+let prop_decode_matches_reference =
+  QCheck2.Test.make ~name:"codec: decode matches the per-character reference"
+    ~count:500
+    QCheck2.Gen.(
+      frequency
+        [
+          (4, gen_frame);
+          ( 1,
+            string_size
+              ~gen:(oneofl [ '$'; '#'; 'a'; '0'; '}'; '*' ])
+              (int_range 0 12) );
+        ])
+    (fun raw -> outcome Packet.decode raw = outcome Reference.decode raw)
+
+(* One stream of frames, acks, naks and junk, fed in random chunks, must
+   yield the events of a byte-at-a-time feed and of the reference. *)
+let prop_deframer_chunking =
+  QCheck2.Test.make ~name:"codec: deframer events do not depend on chunking"
+    ~count:300
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 8)
+           (frequency
+              [
+                (5, gen_frame);
+                (1, oneofl [ "+"; "-"; "junk"; "\n" ]);
+              ]))
+        (list_size (int_range 1 10) (int_range 1 40)))
+    (fun (parts, sizes) ->
+      let stream = Bytes.of_string (String.concat "" parts) in
+      let n = Bytes.length stream in
+      let feed_split next_size =
+        let d = Packet.Deframer.create () in
+        let rec go off k acc =
+          if off >= n then List.concat (List.rev acc)
+          else
+            let len = min (next_size k) (n - off) in
+            go (off + len) (k + 1)
+              (Packet.Deframer.feed d stream off len :: acc)
+        in
+        go 0 0 []
+      in
+      let sizes = Array.of_list sizes in
+      let chunked = feed_split (fun k -> sizes.(k mod Array.length sizes)) in
+      let bytewise = feed_split (fun _ -> 1) in
+      let reference =
+        Reference.feed (Reference.create ()) (Bytes.to_string stream)
+      in
+      chunked = bytewise && bytewise = reference)
+
 let server_memory () =
   let inf = Inferior.create () in
   let g = Inferior.define_global inf "g" (Ctype.array Ctype.char 8) in
@@ -138,6 +381,9 @@ let suite =
     case "malformed packets rejected" malformed;
     case "hex codecs" hex;
     QCheck_alcotest.to_alcotest prop_packet_roundtrip;
+    QCheck_alcotest.to_alcotest prop_encode_matches_reference;
+    QCheck_alcotest.to_alcotest prop_decode_matches_reference;
+    QCheck_alcotest.to_alcotest prop_deframer_chunking;
     case "server memory packets" server_memory;
     case "server qDuel extensions" server_extensions;
     case "client end to end" client_end_to_end;
