@@ -890,7 +890,10 @@ let s1 ~quick ~json_file () =
   let queries = if quick then 24 else 96 in
   let query = Printf.sprintf "big[..%d] >? 0" n in
   let inf = Scenarios.big_array n in
-  let srv = Server.create inf in
+  let srv =
+    Server.create
+      (Duel_fleet.Fleet.of_inferior ~spec:(Printf.sprintf "big:%d" n) inf)
+  in
   let port = Server.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
   let addr = Printf.sprintf "127.0.0.1:%d" port in
   let pump () = ignore (Server.step srv 0.01) in
@@ -1037,8 +1040,12 @@ let s2 ~quick ~json_file () =
   let counts = List.filter (fun c -> c <= cores) [ 1; 2; 4; 8 ] in
   let counts = if counts = [] then [ 1 ] else counts in
   let run_one shards =
-    let inf = Scenarios.big_array n in
-    let srv = Sharded.create ~shards inf in
+    let fleet =
+      Duel_fleet.Fleet.of_inferior
+        ~spec:(Printf.sprintf "big:%d" n)
+        (Scenarios.big_array n)
+    in
+    let srv = Sharded.create ~shards fleet in
     let port = Sharded.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
     Sharded.start srv;
     let addr = Printf.sprintf "127.0.0.1:%d" port in
@@ -1168,8 +1175,7 @@ let r1 ~quick ~json_file () =
     | Ok f -> f
     | Error m -> failwith m
   in
-  let inf = (List.hd (Fleet.targets fleet)).Fleet.inf in
-  let srv = Server.create ~fleet inf in
+  let srv = Server.create fleet in
   let port = Server.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
   let addr = Printf.sprintf "127.0.0.1:%d" port in
   let pump () = ignore (Server.step srv 0.01) in
@@ -1279,7 +1285,9 @@ let x1 ~quick ~json_file () =
      odds fall off exponentially with its length, so stream the reply in
      small chunks and let the seq re-request fill in the casualties *)
   let srv =
-    Server.create ~config:{ Server.default_config with eval_chunk = 2 } inf
+    Server.create
+      ~config:{ Server.default_config with eval_chunk = 2 }
+      (Duel_fleet.Fleet.of_inferior ~spec:(Printf.sprintf "big:%d" n) inf)
   in
   let up = Mangler.create ~seed:11 (Mangler.corrupting ~rate:0.01) in
   let down = Mangler.create ~seed:12 (Mangler.corrupting ~rate:0.01) in
@@ -1359,14 +1367,12 @@ let x1 ~quick ~json_file () =
   | None -> ());
   pass
 
-(* --- F1/F2: the dispatcher tier ------------------------------------------- *)
+(* --- F1: the dispatcher tier ---------------------------------------------- *)
 
 (* F1 is a correctness gate: a dispatcher fronting one dead replica, one
    fault-injected replica and one healthy replica must converge
    bit-identically with a clean single-backend oracle, with the failovers
-   and the breaker trip visible in its counters.  F2 is the latency gate:
-   against two replicas with seeded injected stalls, hedging at p90 must
-   cut the read p99 by >= 3x over the same rig with hedging off. *)
+   and the breaker trip visible in its counters. *)
 
 let faddr_of dbg name =
   match dbg.Dbgi.find_variable name with
@@ -1396,7 +1402,7 @@ let f1_run ~quick =
      trip it for the sweep to observe the breaker at all *)
   let spec =
     Printf.sprintf
-      "dispatch(dead:big:%d,direct:big:%d+flaky(seed=21,profile=nasty),direct:big:%d;hedge=off,trip=1,probe=50ms)"
+      "dispatch(dead:big:%d,direct:big:%d+flaky(seed=21,profile=nasty),direct:big:%d;trip=1,probe=50ms)"
       n n n
   in
   let oracle_spec = Printf.sprintf "direct:big:%d+cache" n in
@@ -1442,95 +1448,18 @@ let f1_run ~quick =
   ob.Backend.b_close ();
   row
 
-type f2_row = {
-  f2_hedged_spec : string;
-  f2_unhedged_spec : string;
-  f2_ops : int;
-  f2_hedged_p50 : float;
-  f2_hedged_p99 : float;
-  f2_unhedged_p50 : float;
-  f2_unhedged_p99 : float;
-  f2_hedges_fired : int;
-  f2_hedge_wins : int;
-}
-
-let f2_gate = 3.0
-let f2_tail_cut r = r.f2_unhedged_p99 // r.f2_hedged_p99
-let f2_pass r = f2_tail_cut r >= f2_gate && r.f2_hedges_fired > 0
-
-let percentile_of xs p =
-  let a = Array.of_list xs in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n = 0 then Float.nan
-  else a.(min (n - 1) (int_of_float (ceil (p *. float_of_int (n - 1)))))
-
-let f2_run ~quick =
-  let n = 256 in
-  let ops = if quick then 400 else 1000 in
-  let mk hedge =
-    (* asymmetric stall rates: the hedge only loses when both replicas
-       stall on the same op, which the seeds keep under the p99 slot *)
-    Printf.sprintf
-      "dispatch(direct:big:%d+stall(seed=31,ms=15,rate=0.05),direct:big:%d+stall(seed=32,ms=15,rate=0.02);hedge=%s)"
-      n n hedge
-  in
-  let arm spec =
-    let b = backend_of spec in
-    let dbg = b.Backend.b_dbg in
-    let base = faddr_of dbg "big" in
-    let lats = ref [] in
-    for i = 0 to ops - 1 do
-      let addr = base + (4 * (i mod n)) in
-      let t0 = Unix.gettimeofday () in
-      ignore (dbg.Dbgi.get_bytes ~addr ~len:4);
-      lats := (Unix.gettimeofday () -. t0) :: !lats
-    done;
-    let d =
-      match b.Backend.b_dispatchers with
-      | (_, d) :: _ -> d
-      | [] -> failwith "no dispatcher in the built stack"
-    in
-    let c = Dispatcher.counters d in
-    b.Backend.b_close ();
-    (!lats, c)
-  in
-  let hedged_spec = mk "p90" and unhedged_spec = mk "off" in
-  let h_lats, h_c = arm hedged_spec in
-  let u_lats, _ = arm unhedged_spec in
-  {
-    f2_hedged_spec = hedged_spec;
-    f2_unhedged_spec = unhedged_spec;
-    f2_ops = ops;
-    f2_hedged_p50 = percentile_of h_lats 0.50;
-    f2_hedged_p99 = percentile_of h_lats 0.99;
-    f2_unhedged_p50 = percentile_of u_lats 0.50;
-    f2_unhedged_p99 = percentile_of u_lats 0.99;
-    f2_hedges_fired = h_c.Dispatcher.hedges_fired;
-    f2_hedge_wins = h_c.Dispatcher.hedge_wins;
-  }
-
-let f_json ~quick r1 r2 =
+let f_json ~quick r1 =
   Printf.sprintf
     "{\n\
-    \  \"bench\": \"dispatcher_failover_hedging\",\n\
+    \  \"bench\": \"dispatcher_failover\",\n\
     \  \"quick\": %b,\n\
     \  \"f1\": {\"spec\": %S, \"oracle\": %S, \"words\": %d,\n\
     \         \"mismatches\": %d, \"queries_match\": %b, \"failovers\": %d,\n\
     \         \"trips\": %d, \"dead_replica_down\": %b, \"pass\": %b},\n\
-    \  \"f2\": {\"hedged_spec\": %S, \"unhedged_spec\": %S, \"ops\": %d,\n\
-    \         \"hedged_p50_s\": %.6f, \"hedged_p99_s\": %.6f,\n\
-    \         \"unhedged_p50_s\": %.6f, \"unhedged_p99_s\": %.6f,\n\
-    \         \"tail_cut\": %.2f, \"gate\": %.1f,\n\
-    \         \"hedges_fired\": %d, \"hedge_wins\": %d, \"pass\": %b},\n\
     \  \"pass\": %b\n\
      }\n"
     quick r1.f1_spec r1.f1_oracle r1.f1_words r1.f1_mismatches r1.f1_queries_ok
-    r1.f1_failovers r1.f1_trips r1.f1_dead_down (f1_pass r1) r2.f2_hedged_spec
-    r2.f2_unhedged_spec r2.f2_ops r2.f2_hedged_p50 r2.f2_hedged_p99
-    r2.f2_unhedged_p50 r2.f2_unhedged_p99 (f2_tail_cut r2) f2_gate
-    r2.f2_hedges_fired r2.f2_hedge_wins (f2_pass r2)
-    (f1_pass r1 && f2_pass r2)
+    r1.f1_failovers r1.f1_trips r1.f1_dead_down (f1_pass r1) (f1_pass r1)
 
 let f_tier ~quick ~json_file () =
   header
@@ -1551,31 +1480,14 @@ let f_tier ~quick ~json_file () =
         (%d failovers, %d breaker trips)"
        (r1.f1_words - r1.f1_mismatches)
        r1.f1_words r1.f1_failovers r1.f1_trips);
-  header
-    "F2  hedged reads: two stalling replicas, hedge=p90 vs hedge=off (gate: \
-     unhedged p99 >= 3x hedged p99)";
-  let r2 = f2_run ~quick in
-  Printf.printf "  %-42s %s %s\n" "hedged   p50 / p99"
-    (ns (r2.f2_hedged_p50 *. 1e9))
-    (ns (r2.f2_hedged_p99 *. 1e9));
-  Printf.printf "  %-42s %s %s\n" "unhedged p50 / p99"
-    (ns (r2.f2_unhedged_p50 *. 1e9))
-    (ns (r2.f2_unhedged_p99 *. 1e9));
-  Printf.printf "  %-42s %d fired, %d won\n" "hedges" r2.f2_hedges_fired
-    r2.f2_hedge_wins;
-  verdict (f2_pass r2)
-    (Printf.sprintf
-       "hedging cuts the stalled p99 %.1fx (gate %.1fx) over %d reads; %d \
-        hedges fired, %d won"
-       (f2_tail_cut r2) f2_gate r2.f2_ops r2.f2_hedges_fired r2.f2_hedge_wins);
   (match json_file with
   | Some file ->
       let oc = open_out file in
-      output_string oc (f_json ~quick r1 r2);
+      output_string oc (f_json ~quick r1);
       close_out oc;
       Printf.printf "  (wrote %s)\n" file
   | None -> ());
-  f1_pass r1 && f2_pass r2
+  f1_pass r1
 
 (* --- C1: conciseness table ------------------------------------------------ *)
 
@@ -1618,7 +1530,7 @@ let () =
       Printf.printf
         "DUEL benchmarks, quick mode (D1 data-cache, L1 lowering, V1 \
          bytecode VM, S1 serving, S2 shard scaling, R1 fleet fan-out, X1 \
-         chaos and F1/F2 dispatcher tiers)\n";
+         chaos and F1 dispatcher tiers)\n";
       let d1_ok = d1 ~quick ~json_file () in
       let l1_ok = l1 ~quick ~json_file:json_lower () in
       let v1_ok = v1 ~quick ~json_file:json_vm () in

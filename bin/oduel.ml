@@ -416,32 +416,29 @@ let serve scenario listen idle_timeout max_conns shards =
     Printf.eprintf "--shards must be >= 1 (got %d)\n" shards;
     exit 2
   end;
-  (* the positional accepts either one scenario name or a whole fleet:
+  (* the positional accepts either one scenario name (a one-member
+     fleet) or a whole fleet:
      fleet(good=deep_list:40,bad=deep_list_buggy:40,...) *)
+  let is_fleet = Fleet.is_fleet_spec scenario in
   let fleet =
-    if Fleet.is_fleet_spec scenario then (
+    if not is_fleet then
+      Fleet.of_inferior ~spec:scenario (make_inferior scenario)
+    else
       match Fleet.of_string scenario with
-      | Ok f -> Some f
+      | Ok f -> f
       | Error msg ->
           Printf.eprintf "oduel serve: %s\n" msg;
-          exit 2)
-    else None
-  in
-  let inf =
-    match fleet with
-    | Some f -> (List.hd (Fleet.targets f)).Fleet.inf
-    | None -> make_inferior scenario
+          exit 2
   in
   let config =
     { Serve_server.default_config with idle_timeout; max_conns }
   in
-  let srv = Serve_sharded.create ~config ?fleet ~shards inf in
+  let srv = Serve_sharded.create ~config ~shards fleet in
   let what =
-    match fleet with
-    | Some f ->
-        Printf.sprintf "fleet %s (%d targets)" (Fleet.describe f)
-          (Fleet.size f)
-    | None -> "scenario " ^ scenario
+    if is_fleet then
+      Printf.sprintf "fleet %s (%d targets)" (Fleet.describe fleet)
+        (Fleet.size fleet)
+    else "scenario " ^ scenario
   in
   (match parse_listen listen with
   | `Unix path ->
@@ -527,7 +524,7 @@ let connect_command session cl line =
   | [ "info"; "server" ] -> print_server_stats cl
   | [ "info"; "targets" ] -> (
       match Serve_client.targets cl with
-      | [] -> print_endline "no fleet (single-target server)"
+      | [] -> print_endline "no targets listed"
       | roster ->
           List.iter
             (fun (id, spec) -> Printf.printf "%-12s %s\n" id spec)
@@ -644,7 +641,7 @@ let target_arg =
           "Backend spec — the one addressing scheme for every stack: \
            $(b,direct:all+cache), \
            $(b,rsp:big:400+chaos(seed=3,profile=mild)+cache), \
-           $(b,dispatch(tcp://a:7777,tcp://b:7777;hedge=p90)).  Overrides \
+           $(b,dispatch(tcp://a:7777,tcp://b:7777;trip=2)).  Overrides \
            the legacy --scenario/--rsp/--no-cache/--chaos flags, which \
            are kept as aliases that rewrite into a spec.  Inspect the \
            result with `info backend`.")
@@ -753,8 +750,8 @@ let serve_cmd =
           ~doc:
             "Event-loop shards, one OCaml domain each (default: the \
              machine's recommended domain count).  TCP shards share the \
-             port via SO_REUSEPORT; 1 preserves the classic \
-             single-threaded server exactly.")
+             port via SO_REUSEPORT; with 1 the loop runs on the main \
+             domain and no domain is spawned.")
   in
   Cmd.v
     (Cmd.info "serve"

@@ -3,7 +3,6 @@ module Dcache = Duel_dbgi.Dcache
 module Prefetch = Duel_dbgi.Prefetch
 module Dispatcher = Duel_dbgi.Dispatcher
 module Inferior = Duel_target.Inferior
-module Memory = Duel_mem.Memory
 module Scenarios = Duel_scenarios.Scenarios
 module Chaos = Duel_chaos.Chaos
 module Mangler = Duel_chaos.Mangler
@@ -25,20 +24,10 @@ type deco =
   | Mangle of { seed : int; profile : string; rate : float }
   | Stall of { seed : int; ms : float; rate : float }
 
-type hedge_spec = Hedge_off | Hedge_ms of float | Hedge_percentile of int
-
-type dpolicy = {
-  d_hedge : hedge_spec;
-  d_timeout_ms : float;
-  d_trip : int;
-  d_probe_ms : float;
-  d_alpha : float;
-}
+type dpolicy = { d_trip : int; d_probe_ms : float; d_alpha : float }
 
 let default_dpolicy =
   {
-    d_hedge = Hedge_off;
-    d_timeout_ms = 2000.;
     d_trip = 3;
     d_probe_ms = 50.;
     d_alpha = 0.2;
@@ -75,14 +64,8 @@ let print_deco = function
   | Stall { seed; ms; rate } ->
       Printf.sprintf "stall(seed=%d,ms=%s,rate=%s)" seed (fg ms) (fg rate)
 
-let print_hedge = function
-  | Hedge_off -> "off"
-  | Hedge_ms ms -> fg ms ^ "ms"
-  | Hedge_percentile n -> Printf.sprintf "p%d" n
-
 let print_policy p =
-  Printf.sprintf "hedge=%s,timeout=%sms,trip=%d,probe=%sms,alpha=%s"
-    (print_hedge p.d_hedge) (fg p.d_timeout_ms) p.d_trip (fg p.d_probe_ms)
+  Printf.sprintf "trip=%d,probe=%sms,alpha=%s" p.d_trip (fg p.d_probe_ms)
     (fg p.d_alpha)
 
 let rec print = function
@@ -280,27 +263,12 @@ let parse_base s =
              tcp://, unix:, dispatch(...))"
           s
 
-let parse_hedge v =
-  if v = "off" then Hedge_off
-  else if String.length v > 1 && v.[0] = 'p'
-          && String.for_all (fun c -> c >= '0' && c <= '9')
-               (String.sub v 1 (String.length v - 1))
-  then begin
-    let n = int_of "hedge percentile" (String.sub v 1 (String.length v - 1)) in
-    if n < 1 || n > 99 then bad "hedge percentile p%d out of range 1..99" n;
-    Hedge_percentile n
-  end
-  else Hedge_ms (ms_of "hedge delay" v)
-
 let parse_policy s =
   let kv = kvs "dispatch policy" s in
-  check_keys "dispatch policy" [ "hedge"; "timeout"; "trip"; "probe"; "alpha" ]
-    kv;
+  check_keys "dispatch policy" [ "trip"; "probe"; "alpha" ] kv;
   List.fold_left
     (fun p (k, v) ->
       match k with
-      | "hedge" -> { p with d_hedge = parse_hedge v }
-      | "timeout" -> { p with d_timeout_ms = ms_of "timeout" v }
       | "trip" -> { p with d_trip = int_of "trip" v }
       | "probe" -> { p with d_probe_ms = ms_of "probe" v }
       | "alpha" -> { p with d_alpha = float_of "alpha" v }
@@ -403,36 +371,6 @@ type ctx = {
   mutable closers : (unit -> unit) list;
 }
 
-let cache_wrap inf dbg =
-  Dcache.wrap
-    ~config:
-      {
-        Dcache.default_config with
-        Dcache.stale_policy =
-          Dcache.Probe (fun () -> Memory.generation (Inferior.mem inf));
-      }
-    dbg
-
-(* Local debug information, dead live target: every wire-class operation
-   is a transient fault, so a dispatcher trips this replica while the
-   zero-length convention and static queries still hold. *)
-let dead_of inf =
-  let raw = Duel_target.Backend.direct ~cache:false inf in
-  let down ~addr ~len = raise (Dbgi.Target_transient { addr; len }) in
-  {
-    raw with
-    Dbgi.get_bytes =
-      (fun ~addr ~len -> if len = 0 then Bytes.create 0 else down ~addr ~len);
-    put_bytes =
-      (fun ~addr data ->
-        if Bytes.length data = 0 then ()
-        else down ~addr ~len:(Bytes.length data));
-    alloc_space = (fun size -> down ~addr:0 ~len:size);
-    call_func = (fun _ _ -> down ~addr:0 ~len:0);
-    frames = (fun () -> down ~addr:0 ~len:0);
-    caps = Dbgi.basic_caps ~transport:Dbgi.Synthetic "dead";
-  }
-
 let build_atom ctx base decos =
   let label = print (Atom (base, decos)) in
   let has_cache = List.mem Cache decos in
@@ -469,7 +407,7 @@ let build_atom ctx base decos =
         (inf, Duel_target.Backend.direct ~cache:false inf, false, None)
     | Dead scen ->
         let inf = ctx.make_inf scen in
-        (inf, dead_of inf, false, None)
+        (inf, Duel_fleet.Fleet.dead_of inf, false, None)
     | Rsp scen ->
         let inf = ctx.make_inf scen in
         let srv = Duel_rsp.Server.create inf in
@@ -490,7 +428,10 @@ let build_atom ctx base decos =
           wire )
     | Serve_loop scen ->
         let inf = ctx.make_inf scen in
-        let srv = Duel_serve.Server.create ?config:ctx.serve_config inf in
+        let srv =
+          Duel_serve.Server.create ?config:ctx.serve_config
+            (Duel_fleet.Fleet.of_inferior ~spec:scen inf)
+        in
         let retry = Option.value ctx.retry ~default:loop_retry in
         let cl, wire =
           match mangle with
@@ -540,7 +481,10 @@ let build_atom ctx base decos =
             (* flush buffered writes while the transport underneath is
                still alive, then drop the cache from the registries, so
                a closed stack is not kept alive *)
-            let cached = if net_cache_applied then dbg else cache_wrap inf dbg in
+            let cached =
+              if net_cache_applied then dbg
+              else Duel_target.Backend.cached inf dbg
+            in
             ctx.closers <-
               (fun () -> try Dcache.release cached with _ -> ()) :: ctx.closers;
             cached
@@ -550,7 +494,7 @@ let build_atom ctx base decos =
                above *)
             let cached =
               if Dcache.is_cached dbg || net_cache_applied then dbg
-              else cache_wrap inf dbg
+              else Duel_target.Backend.cached inf dbg
             in
             (* same close-time release as +cache *)
             ctx.closers <-
@@ -613,14 +557,7 @@ let rec build_spec ctx = function
       let policy =
         {
           Dispatcher.default_policy with
-          Dispatcher.op_timeout = pol.d_timeout_ms /. 1000.;
-          hedge =
-            (match pol.d_hedge with
-            | Hedge_off -> Dispatcher.Hedge_off
-            | Hedge_ms ms -> Dispatcher.Hedge_after (ms /. 1000.)
-            | Hedge_percentile n ->
-                Dispatcher.Hedge_percentile (float_of_int n /. 100.));
-          trip_after = pol.d_trip;
+          Dispatcher.trip_after = pol.d_trip;
           half_open_after = pol.d_probe_ms /. 1000.;
           ewma_alpha = pol.d_alpha;
           is_transport_fault = transport_fault;

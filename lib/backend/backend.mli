@@ -27,8 +27,7 @@
                                           byte mangling on the wire
                                           (rsp / serve bases only)
             | "stall(seed=N,ms=M,rate=R)" injected latency only
-    policy ::= kv ("," kv)*               hedge=off|pNN|Xms, timeout=Xms,
-                                          trip=N, probe=Xms, alpha=F
+    policy ::= kv ("," kv)*               trip=N, probe=Xms, alpha=F
     scenario ::= "all" | "symtab" | "faulty" | "big:N"
                | "deep_list:N" | "deep_tree:N"
                | "deep_list_buggy:N" | "deep_list_swapped:N"
@@ -64,21 +63,11 @@ type deco =
   | Mangle of { seed : int; profile : string; rate : float }
   | Stall of { seed : int; ms : float; rate : float }
 
-(** The spec-level mirror of {!Duel_dbgi.Dispatcher.hedge} (milliseconds
-    and integer percentiles, the units humans type). *)
-type hedge_spec = Hedge_off | Hedge_ms of float | Hedge_percentile of int
-
-type dpolicy = {
-  d_hedge : hedge_spec;
-  d_timeout_ms : float;
-  d_trip : int;
-  d_probe_ms : float;
-  d_alpha : float;
-}
+type dpolicy = { d_trip : int; d_probe_ms : float; d_alpha : float }
 
 val default_dpolicy : dpolicy
-(** Mirrors {!Duel_dbgi.Dispatcher.default_policy}: hedging off, 2000 ms
-    timeout, trip after 3, 50 ms probe window, alpha 0.2. *)
+(** Mirrors {!Duel_dbgi.Dispatcher.default_policy}: trip after 3, 50 ms
+    probe window, alpha 0.2. *)
 
 type spec = Atom of base * deco list | Dispatch of spec list * dpolicy
 

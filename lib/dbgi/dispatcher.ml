@@ -8,18 +8,11 @@
    lockstep everywhere or not at all (alloc/call: non-idempotent, and the
    replicas only stay interchangeable if they execute the same history).
 
-   Concurrency: with hedging off everything runs on the caller's thread.
-   With hedging on, reads run on worker threads that may be abandoned
-   after a winner is chosen; an abandoned worker only touches its own
-   replica's health fields, under the dispatcher mutex, and its result
-   cell — rendezvous is by polling those cells with [Thread.delay], which
-   needs no file descriptors and so nothing can leak or be reused. *)
-
-type hedge = Hedge_off | Hedge_after of float | Hedge_percentile of float
+   Every operation runs on the caller's thread.  The mutex keeps the
+   health fields and counters consistent when several domains share one
+   dispatcher. *)
 
 type policy = {
-  op_timeout : float;
-  hedge : hedge;
   trip_after : int;
   half_open_after : float;
   ewma_alpha : float;
@@ -34,8 +27,6 @@ let default_transport_fault = function
 
 let default_policy =
   {
-    op_timeout = 2.0;
-    hedge = Hedge_off;
     trip_after = 3;
     half_open_after = 0.05;
     ewma_alpha = 0.2;
@@ -47,8 +38,6 @@ type counters = {
   mutable reads : int;
   mutable writes : int;
   mutable failovers : int;
-  mutable hedges_fired : int;
-  mutable hedge_wins : int;
   mutable trips : int;
   mutable probes : int;
   mutable recoveries : int;
@@ -62,8 +51,6 @@ let zero_counters () =
     reads = 0;
     writes = 0;
     failovers = 0;
-    hedges_fired = 0;
-    hedge_wins = 0;
     trips = 0;
     probes = 0;
     recoveries = 0;
@@ -72,12 +59,9 @@ let zero_counters () =
     desyncs = 0;
   }
 
-let sample_cap = 64
-
 type replica = {
   rep : Dbgi.t;
   label : string;
-  samples : float array;  (* latency ring, ms *)
   mutable n_samples : int;
   mutable ewma_ms : float;  (* 0. until the first sample *)
   mutable failures : int;  (* consecutive transport faults *)
@@ -93,9 +77,8 @@ type t = {
   reps : replica array;
   cnt : counters;
   m : Mutex.t;
+  now : unit -> float;  (* seconds; every latency sample and breaker timer *)
 }
-
-let now () = Unix.gettimeofday ()
 
 (* Closed: full member of the rotation.  Open: cooling down, no traffic.
    Half_open: cooldown elapsed; the next operation doubles as a probe. *)
@@ -116,7 +99,6 @@ let record_success t r dt_ms =
          else
            (t.pol.ewma_alpha *. dt_ms)
            +. ((1. -. t.pol.ewma_alpha) *. r.ewma_ms));
-      r.samples.(r.n_samples mod sample_cap) <- dt_ms;
       r.n_samples <- r.n_samples + 1)
 
 let record_failure t r e =
@@ -127,7 +109,7 @@ let record_failure t r e =
       if r.failures >= t.pol.trip_after then begin
         if r.tripped_until = 0. then t.cnt.trips <- t.cnt.trips + 1;
         (* a failed half-open probe lands here too and re-arms the timer *)
-        r.tripped_until <- now () +. t.pol.half_open_after
+        r.tripped_until <- t.now () +. t.pol.half_open_after
       end)
 
 let desync t r why =
@@ -137,15 +119,6 @@ let desync t r why =
         r.last_err <- why;
         t.cnt.desyncs <- t.cnt.desyncs + 1
       end)
-
-let percentile_ms r p =
-  let n = min r.n_samples sample_cap in
-  if n < 8 then 2.0
-  else begin
-    let xs = Array.sub r.samples 0 n in
-    Array.sort compare xs;
-    xs.(min (n - 1) (int_of_float (ceil (p *. float_of_int (n - 1)))))
-  end
 
 (* Routing preference: unmeasured replicas score as fast (give them a
    chance), consecutive failures inflate the score multiplicatively. *)
@@ -199,7 +172,7 @@ let journal_add t r addr data =
    longest-tripped live replica anyway: availability beats purity when
    every replica is suspect. *)
 let read_candidates t =
-  let nw = now () in
+  let nw = t.now () in
   let live =
     List.filter (fun r -> not r.desynced) (Array.to_list t.reps)
   in
@@ -227,7 +200,7 @@ let reopen t r =
    fault already scored against it.  Authoritative exceptions
    ([Target_fault], query errors) propagate to the caller unchanged. *)
 let attempt_read t r ?range op =
-  let probing = state (now ()) r <> `Closed in
+  let probing = state (t.now ()) r <> `Closed in
   let eligible =
     match range with
     | Some (addr, len) when dirty_overlaps r addr len ->
@@ -241,10 +214,10 @@ let attempt_read t r ?range op =
   if not eligible then `Skip
   else begin
     if probing then locked t (fun () -> t.cnt.probes <- t.cnt.probes + 1);
-    let t0 = now () in
+    let t0 = t.now () in
     match op r.rep with
     | v ->
-        record_success t r ((now () -. t0) *. 1000.);
+        record_success t r ((t.now () -. t0) *. 1000.);
         if probing then begin
           reopen t r;
           ignore (repair t r)
@@ -259,7 +232,7 @@ let attempt_read t r ?range op =
    the same operation, so tripped replicas recover even while a healthy
    one absorbs all regular traffic. *)
 let piggyback_probe t winner ?range op =
-  let nw = now () in
+  let nw = t.now () in
   match
     Array.to_list t.reps
     |> List.find_opt (fun r ->
@@ -291,130 +264,17 @@ let read_seq t ?range op =
   in
   go (read_candidates t)
 
-(* --- hedged reads ---------------------------------------------------- *)
-
-let hedge_delay t r =
-  match t.pol.hedge with
-  | Hedge_off -> None
-  | Hedge_after s -> Some s
-  | Hedge_percentile p -> Some (max 0.0002 (percentile_ms r p /. 1000.))
-
-(* Launch [op] against [r] on a worker that scores its own outcome and
-   parks it in [cell].  The main thread may abandon the worker; nothing
-   it does afterwards can confuse a later operation. *)
-let launch t r cell op =
-  ignore
-    (Thread.create
-       (fun () ->
-         let t0 = now () in
-         let res = try `Ok (op r.rep) with e -> `Err e in
-         let dt = (now () -. t0) *. 1000. in
-         (match res with
-         | `Ok _ -> record_success t r dt
-         | `Err e when t.pol.is_transport_fault e -> record_failure t r e
-         | `Err _ ->
-             (* the transport worked; the answer was authoritative *)
-             record_success t r dt);
-         locked t (fun () -> cell := res))
-       ())
-
-let cell_read t cell = locked t (fun () -> !cell)
-
-(* Poll until [pred] or the deadline; 0.2 ms granularity is far below
-   the stalls hedging is meant to cut. *)
-let poll_until deadline pred =
-  let rec go () =
-    match pred () with
-    | Some v -> Some v
-    | None ->
-        let remaining = deadline -. now () in
-        if remaining <= 0. then None
-        else begin
-          Thread.delay (min 0.0002 remaining);
-          go ()
-        end
-  in
-  go ()
-
-let read_hedged t ~addr ~len =
-  let op rep = rep.Dbgi.get_bytes ~addr ~len in
-  let clean =
-    List.filter (fun r -> not (dirty_overlaps r addr len)) (read_candidates t)
-  in
-  let nw = now () in
-  match List.filter (fun r -> state nw r = `Closed) clean with
-  | r1 :: r2 :: _ -> (
-      let c1 = ref `Pending and c2 = ref `Pending in
-      let fired = ref false in
-      let deadline = now () +. t.pol.op_timeout in
-      launch t r1 c1 op;
-      let delay = match hedge_delay t r1 with Some d -> d | None -> 0. in
-      let primary_first =
-        poll_until
-          (min deadline (now () +. delay))
-          (fun () ->
-            match cell_read t c1 with `Pending -> None | r -> Some r)
-      in
-      let fire () =
-        if not !fired then begin
-          fired := true;
-          locked t (fun () -> t.cnt.hedges_fired <- t.cnt.hedges_fired + 1);
-          launch t r2 c2 op
-        end
-      in
-      let settle () =
-        (* first success wins; an authoritative error from either replica
-           is the answer; two transport faults fall back sequentially *)
-        match (cell_read t c1, cell_read t c2) with
-        | `Ok v, _ -> Some (`Win v)
-        | `Pending, `Ok v ->
-            locked t (fun () -> t.cnt.hedge_wins <- t.cnt.hedge_wins + 1);
-            Some (`Win v)
-        | _, `Ok v -> Some (`Win v)
-        | `Err e, _ when not (t.pol.is_transport_fault e) -> Some (`Raise e)
-        | _, `Err e when not (t.pol.is_transport_fault e) -> Some (`Raise e)
-        | `Err e, `Err _ -> Some (`Both_failed e)
-        | `Err e, `Pending when not !fired -> Some (`Both_failed e)
-        | _ -> None
-      in
-      (match primary_first with
-      | Some (`Err e) when t.pol.is_transport_fault e ->
-          (* primary died before the hedge delay: fire the hedge as a
-             failover rather than waiting out the timer *)
-          locked t (fun () -> t.cnt.failovers <- t.cnt.failovers + 1);
-          fire ()
-      | Some _ -> ()
-      | None -> fire ());
-      match poll_until deadline settle with
-      | Some (`Win v) -> v
-      | Some (`Raise e) -> raise e
-      | Some (`Both_failed e) -> (
-          let rest =
-            List.filter (fun r -> r != r1 && r != r2) (read_candidates t)
-          in
-          let pick = function
-            | `Ok v ->
-                locked t (fun () -> t.cnt.failovers <- t.cnt.failovers + 1);
-                Some v
-            | _ -> None
-          in
-          match List.find_map (fun r -> pick (attempt_read t r op)) rest with
-          | Some v -> v
-          | None -> raise e)
-      | None -> raise (Dbgi.Target_transient { addr; len }))
-  | _ -> read_seq t ~range:(addr, len) op
-
 (* --- writes ----------------------------------------------------------- *)
 
 (* Apply the backlog, then the new write, scoring the round-trip. *)
 let write_one t r ~addr data =
   apply_journal t r;
-  let t0 = now () in
+  let t0 = t.now () in
   r.rep.Dbgi.put_bytes ~addr data;
-  record_success t r ((now () -. t0) *. 1000.)
+  record_success t r ((t.now () -. t0) *. 1000.)
 
 let replicate t r ~addr data =
-  if state (now ()) r = `Open then journal_add t r addr data
+  if state (t.now ()) r = `Open then journal_add t r addr data
   else
     match write_one t r ~addr data with
     | () -> ()
@@ -431,7 +291,7 @@ let write t ~addr data =
   locked t (fun () -> t.cnt.writes <- t.cnt.writes + 1);
   let live = List.filter (fun r -> not r.desynced) (Array.to_list t.reps) in
   if live = [] then failwith "dispatcher: no live replicas";
-  let nw = now () in
+  let nw = t.now () in
   let order =
     match List.filter (fun r -> state nw r <> `Open) live with
     | [] -> live
@@ -473,12 +333,12 @@ let lockstep t name op eq =
   match live with
   | [] -> failwith "dispatcher: no live replicas"
   | p :: others ->
-      let t0 = now () in
+      let t0 = t.now () in
       let v = op p.rep in
-      record_success t p ((now () -. t0) *. 1000.);
+      record_success t p ((t.now () -. t0) *. 1000.);
       List.iter
         (fun r ->
-          if state (now ()) r = `Open then
+          if state (t.now ()) r = `Open then
             desync t r (name ^ " while tripped: lockstep broken")
           else
             match
@@ -497,7 +357,7 @@ let lockstep t name op eq =
 (* --- assembly --------------------------------------------------------- *)
 
 let replica_health t =
-  let nw = now () in
+  let nw = t.now () in
   Array.to_list t.reps
   |> List.map (fun r ->
          let st =
@@ -522,7 +382,7 @@ let replica_health t =
            } ))
 
 let aggregate_health t () =
-  let nw = now () in
+  let nw = t.now () in
   let live =
     Array.to_list t.reps
     |> List.filter (fun r -> (not r.desynced) && state nw r <> `Open)
@@ -558,15 +418,13 @@ let report t =
       Printf.sprintf
         "ops: %d reads, %d writes; %d failovers, %d pinned reads, %d repairs"
         c.reads c.writes c.failovers c.pinned_reads c.repairs;
-      Printf.sprintf
-        "breaker: %d trips, %d probes, %d recoveries, %d desyncs; hedging: \
-         %d fired, %d won"
-        c.trips c.probes c.recoveries c.desyncs c.hedges_fired c.hedge_wins;
+      Printf.sprintf "breaker: %d trips, %d probes, %d recoveries, %d desyncs"
+        c.trips c.probes c.recoveries c.desyncs;
     ]
 
 let cval_eq (a : Dbgi.cval) (b : Dbgi.cval) = a = b
 
-let create ?(policy = default_policy) ?labels reps =
+let create ?(policy = default_policy) ?labels ?(clock = Unix.gettimeofday) reps =
   if reps = [] then invalid_arg "Dispatcher.create: no replicas";
   let labels =
     match labels with
@@ -582,7 +440,6 @@ let create ?(policy = default_policy) ?labels reps =
         {
           rep;
           label;
-          samples = Array.make sample_cap 0.;
           n_samples = 0;
           ewma_ms = 0.;
           failures = 0;
@@ -594,7 +451,13 @@ let create ?(policy = default_policy) ?labels reps =
         })
       reps labels
   in
-  { pol = policy; reps = Array.of_list reps; cnt = zero_counters (); m = Mutex.create () }
+  {
+    pol = policy;
+    reps = Array.of_list reps;
+    cnt = zero_counters ();
+    m = Mutex.create ();
+    now = clock;
+  }
 
 let dbgi t =
   let primary = t.reps.(0).rep in
@@ -602,11 +465,7 @@ let dbgi t =
     if len = 0 then Bytes.create 0
     else begin
       locked t (fun () -> t.cnt.reads <- t.cnt.reads + 1);
-      match t.pol.hedge with
-      | Hedge_off ->
-          read_seq t ~range:(addr, len) (fun rep ->
-              rep.Dbgi.get_bytes ~addr ~len)
-      | _ -> read_hedged t ~addr ~len
+      read_seq t ~range:(addr, len) (fun rep -> rep.Dbgi.get_bytes ~addr ~len)
     end
   in
   let put_bytes ~addr data =

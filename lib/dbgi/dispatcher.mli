@@ -17,25 +17,11 @@
     [Target_fault] and query errors are authoritative answers about the
     target and propagate unchanged, never triggering failover.
 
-    Hedged reads cut tail latency: when enabled, a read is raced on a
-    worker thread and a second replica is fired after a configurable
-    delay (fixed, or a percentile of the first replica's recent
-    latencies); the first success wins.  With hedging off the dispatcher
-    spawns no threads at all. *)
-
-(** When to fire the second replica of a hedged read. *)
-type hedge =
-  | Hedge_off
-  | Hedge_after of float  (** fixed delay, seconds *)
-  | Hedge_percentile of float
-      (** that percentile (0..1) of the primary's recent latencies *)
+    Every operation runs on the caller's thread and tries replicas one
+    after another; a replica that hangs is bounded by its own transport
+    timeout. *)
 
 type policy = {
-  op_timeout : float;
-      (** seconds; enforced on the hedged read path (worker threads can be
-          abandoned).  The sequential path relies on the replicas' own
-          transport timeouts. *)
-  hedge : hedge;
   trip_after : int;  (** consecutive transport faults before tripping *)
   half_open_after : float;  (** seconds a tripped replica cools down *)
   ewma_alpha : float;  (** weight of the newest latency sample *)
@@ -47,16 +33,13 @@ type policy = {
 }
 
 val default_policy : policy
-(** [Hedge_off], 2 s timeout, trip after 3, half-open after 50 ms,
-    alpha 0.2, journal limit 256, transport = [Target_transient] or
+(** Trip after 3, half-open after 50 ms, alpha 0.2, journal limit 256, transport = [Target_transient] or
     [Unix.Unix_error]. *)
 
 type counters = {
   mutable reads : int;
   mutable writes : int;
   mutable failovers : int;  (** an op succeeded only on a later replica *)
-  mutable hedges_fired : int;
-  mutable hedge_wins : int;  (** the hedge answered before the primary *)
   mutable trips : int;
   mutable probes : int;  (** half-open recovery attempts *)
   mutable recoveries : int;  (** probes that closed the breaker again *)
@@ -68,9 +51,17 @@ type counters = {
 
 type t
 
-val create : ?policy:policy -> ?labels:string list -> Dbgi.t list -> t
+val create :
+  ?policy:policy ->
+  ?labels:string list ->
+  ?clock:(unit -> float) ->
+  Dbgi.t list ->
+  t
 (** [create replicas]: the first replica is the primary — its debug info
     (abi, tenv, symbols) answers static queries, and writes prefer it.
+    [clock] (seconds; default [Unix.gettimeofday]) times every latency
+    sample and breaker cooldown, so a test can set the latencies that
+    routing depends on.
     @raise Invalid_argument on an empty replica list. *)
 
 val dbgi : t -> Dbgi.t

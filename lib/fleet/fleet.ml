@@ -17,7 +17,6 @@
    same names work in [--target] specs and fleet slots. *)
 
 module Dbgi = Duel_dbgi.Dbgi
-module Dcache = Duel_dbgi.Dcache
 module Inferior = Duel_target.Inferior
 module Memory = Duel_mem.Memory
 module Scenarios = Duel_scenarios.Scenarios
@@ -118,7 +117,8 @@ let id_ok id =
 (* Local debug information, dead live target: every wire-class operation
    raises the typed transient fault (zero-length ops and static queries
    still succeed), so a fan-out over a dead slot reports the fault in
-   that slot's stream and nowhere else. *)
+   that slot's stream and nowhere else, and a dispatcher trips a dead
+   replica. *)
 let dead_of inf =
   let raw = Duel_target.Backend.direct ~cache:false inf in
   let down ~addr ~len = raise (Dbgi.Target_transient { addr; len }) in
@@ -136,7 +136,28 @@ let dead_of inf =
     caps = Dbgi.basic_caps ~transport:Dbgi.Synthetic "dead";
   }
 
-let create ?(wrap = fun _ dbg -> dbg) slots =
+(* One member over a debuggee that already exists — the one constructor
+   every target goes through. *)
+let member ?(wrap = fun _ dbg -> dbg) ?(dead = false) ~id ~spec inf =
+  {
+    id;
+    spec;
+    inf;
+    dead;
+    lock = Mutex.create ();
+    wrap = wrap id;
+    tstats =
+      {
+        binds = Atomic.make 0;
+        evals = Atomic.make 0;
+        values = Atomic.make 0;
+        errors = Atomic.make 0;
+      };
+  }
+
+let of_inferior ~spec inf = { members = [| member ~id:"main" ~spec inf |] }
+
+let create ?wrap slots =
   match
     if slots = [] then bad "a fleet needs at least one target";
     let seen = Hashtbl.create 8 in
@@ -151,21 +172,7 @@ let create ?(wrap = fun _ dbg -> dbg) slots =
             (true, String.sub spec 5 (String.length spec - 5))
           else (false, spec)
         in
-        {
-          id;
-          spec;
-          inf = inferior_of_scenario scen;
-          dead;
-          lock = Mutex.create ();
-          wrap = wrap id;
-          tstats =
-            {
-              binds = Atomic.make 0;
-              evals = Atomic.make 0;
-              values = Atomic.make 0;
-              errors = Atomic.make 0;
-            };
-        })
+        member ?wrap ~dead ~id ~spec (inferior_of_scenario scen))
       slots
   with
   | members -> Ok { members = Array.of_list members }
@@ -225,12 +232,4 @@ let shard_dbgi ?(cache = true) tg =
     else Duel_target.Backend.direct ~cache:false tg.inf
   in
   let base = tg.wrap (Dbgi.serialized tg.lock base) in
-  if not cache then base
-  else
-    Dcache.wrap
-      ~config:
-        {
-          Dcache.default_config with
-          Dcache.stale_policy = Dcache.Probe (fun () -> generation tg);
-        }
-      base
+  if cache then Duel_target.Backend.cached tg.inf base else base

@@ -67,6 +67,12 @@ val create :
     wire frames).  [wrap id] decorates target [id]'s serialized raw
     access — the chaos soak injects faults here. *)
 
+val of_inferior : spec:string -> Duel_target.Inferior.t -> t
+(** A one-member fleet over a debuggee that already exists: its one
+    target has id ["main"], and [spec] names it in the roster (the
+    scenario it was built from).  This is how a server holds a single
+    target. *)
+
 val parse : string -> ((string * string) list, string) result
 (** Split a [fleet(id=spec,…)] string into slots (no debuggees built). *)
 
@@ -99,6 +105,12 @@ val generation_sum : t -> int
 
 val note_bind : target -> unit
 val note_eval : target -> values:int -> error:bool -> unit
+
+val dead_of : Duel_target.Inferior.t -> Duel_dbgi.Dbgi.t
+(** Local debug information over a dead live target: every wire-class
+    operation raises {!Duel_dbgi.Dbgi.Target_transient}, while
+    zero-length operations and static queries still succeed.  Backs
+    [dead:] fleet slots and the [dead:] backend spec. *)
 
 val shard_dbgi : ?cache:bool -> target -> Duel_dbgi.Dbgi.t
 (** One shard's access interface to one target: direct (or dead) raw

@@ -177,12 +177,13 @@ val use_target : t -> string -> unit
     evals and wire accesses aim at that target, in a fresh server-side
     session.  Marks this connection's caches stale — everything cached
     so far came from the previous target.
-    @raise Error — [Unknown_target id] if the fleet has no such target
-    (or the server hosts no fleet), transport-class otherwise. *)
+    @raise Error — [Unknown_target id] if the server answers [E03] (it
+    has no such target), transport-class otherwise. *)
 
 val targets : t -> (string * string) list
-(** The server's fleet roster ([qDuelTargets]) as [(id, spec)] pairs;
-    empty on a fleet-less server. *)
+(** The server's fleet roster ([qDuelTargets]) as [(id, spec)] pairs.  A
+    single-target server lists its one target as [main]; an empty reply
+    parses as the empty roster. *)
 
 val eval_all :
   t -> string list -> string -> (string * (string list, string) result) list
@@ -197,12 +198,12 @@ val eval_all :
     Not resend-safe: there is no replay window for fan-outs, so a lost
     reply surfaces as [Timeout] and the retry decision is the
     caller's.  Marks this connection's caches stale.
-    @raise Error on deadline, transport failure, or a fleet-less
-    server ([Remote]). *)
+    @raise Error on deadline, transport failure, or a server that
+    refuses the verb with [E03] ([Remote]). *)
 
 val server_stats : t -> (string * int) list
 (** The server's [qDuelStats] counters, parsed — including the
-    per-target [tgt.<id>.<counter>] keys when a fleet is hosted. *)
+    per-target [tgt.<id>.<counter>] keys. *)
 
 val frame_count : t -> int
 (** The wire's [qDuelFrames] — the active-frame count on the server. *)

@@ -1,5 +1,5 @@
-(* A concurrent network debug server: one target, many clients, one
-   thread.
+(* A concurrent network debug server: a fleet of targets (one, unless
+   relative debugging wants several), many clients, one thread.
 
    Hanson's follow-up to the narrow debugger interface (MSR-TR-99-4)
    puts that interface on the wire; this module is our serving layer
@@ -13,7 +13,8 @@
    (backpressure, instead of unbounded buffering).
 
    Protocol-wise each connection is an independent RSP exchange against
-   the shared [Duel_rsp.Server] stub, plus two serve-level extensions:
+   its bound target's [Duel_rsp.Server] stub, plus two serve-level
+   extensions:
    [qDuelEval:<expr>] runs a whole DUEL command in the connection's own
    [Session] (aliases isolated per client, target shared) and streams
    the formatted results back in chunked [D...] frames ended by a
@@ -26,7 +27,6 @@ module Rsp_server = Duel_rsp.Server
 module Session = Duel_core.Session
 module Bytecode = Duel_core.Bytecode
 module Inferior = Duel_target.Inferior
-module Memory = Duel_mem.Memory
 module Fleet = Duel_fleet.Fleet
 
 (* Server-side fault points for chaos testing.  The hook is consulted at
@@ -119,9 +119,8 @@ type conn = {
   mutable last_eval_reply : string;
   mutable session : Session.t;
   (* the fleet target this connection's session and RSP traffic are
-     aimed at; [qDuelUse:<id>] rebinds (fresh session, seq reset).
-     [None] iff the server hosts no fleet. *)
-  mutable bound : slot option;
+     aimed at; [qDuelUse:<id>] rebinds (fresh session, seq reset) *)
+  mutable bound : slot;
 }
 
 (* A consistent read of one shard's observable load, for merging. *)
@@ -129,14 +128,6 @@ type view = { v_st : stats; v_active : int }
 
 type t = {
   cfg : config;
-  inf : Inferior.t;
-  rsp : Rsp_server.t;
-  dbgi : Duel_dbgi.Dbgi.t;  (* shard-local interface for sessions *)
-  (* Serializes direct target access shared with sibling shards: RSP
-     dispatch and stdout capture take it; [dbgi] is expected to be
-     already serialized by the same mutex (see {!Duel_dbgi.Dbgi.serialized}).
-     [None] (the single-threaded default) costs nothing. *)
-  target_lock : Mutex.t option;
   (* The cross-shard shutdown flag: [shutdown] raises it, every shard's
      [step] lowers its own sails when it sees it.  A lone server owns a
      private flag, so the behavior is exactly the old [shutting] bool. *)
@@ -160,16 +151,14 @@ type t = {
      a shutdown can wake every sibling's select. *)
   mutable siblings : t list;
   (* the query-plan cache: token-normalized expression text -> compiled
-     program.  Domain-safe ({!Plan_cache}); shared across shards.  When
-     a fleet is hosted, keys are prefixed with the target id, so twins
-     evaluating one expression never share a compiled plan (compiling
-     interns literals into *that* target's memory). *)
+     program.  Domain-safe ({!Plan_cache}); shared across shards.  Keys
+     are prefixed with the target id, so twins evaluating one expression
+     never share a compiled plan (compiling interns literals into *that*
+     target's memory). *)
   plans : Plan_cache.t;
-  plan_session : Session.t;  (* dedicated compile context (never evals) *)
   (* the hosted fleet, shared by every shard; [slots] is this shard's
-     per-target view in fleet order.  Both empty on a classic
-     single-target server. *)
-  fleet : Fleet.t option;
+     per-target view in fleet order *)
+  fleet : Fleet.t;
   slots : slot array;
 }
 
@@ -197,43 +186,31 @@ let fresh_stats () =
     hist = Histogram.create ();
   }
 
-let create ?(config = default_config) ?dbgi ?plans ?stop ?target_lock ?fleet
-    inf =
+let create ?(config = default_config) ?plans ?stop fleet =
   (* a peer can vanish between select and write; the loop must see that
      as EPIPE on the write, not die of SIGPIPE *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let dbgi =
-    match dbgi with Some d -> d | None -> Duel_target.Backend.direct inf
-  in
   (* this shard's per-target interfaces: shard-local dcaches over the
      shared (locked) raw targets, one RSP stub and compile context each *)
   let slots =
-    match fleet with
-    | None -> [||]
-    | Some f ->
-        Array.of_list
-          (List.map
-             (fun tg ->
-               let d = Fleet.shard_dbgi tg in
-               {
-                 sl_target = tg;
-                 sl_dbgi = d;
-                 sl_rsp =
-                   Rsp_server.create ~limits:config.limits tg.Fleet.inf;
-                 sl_plan_session = Session.create d;
-               })
-             (Fleet.targets f))
+    Array.of_list
+      (List.map
+         (fun tg ->
+           let d = Fleet.shard_dbgi tg in
+           {
+             sl_target = tg;
+             sl_dbgi = d;
+             sl_rsp = Rsp_server.create ~limits:config.limits tg.Fleet.inf;
+             sl_plan_session = Session.create d;
+           })
+         (Fleet.targets fleet))
   in
   let wake_rd, wake_wr = Unix.pipe () in
   Unix.set_nonblock wake_rd;
   Unix.set_nonblock wake_wr;
   {
     cfg = config;
-    inf;
-    rsp = Rsp_server.create ~limits:config.limits inf;
-    dbgi;
-    target_lock;
     stop = (match stop with Some a -> a | None -> Atomic.make false);
     listeners = [];
     conns = [];
@@ -249,7 +226,6 @@ let create ?(config = default_config) ?dbgi ?plans ?stop ?target_lock ?fleet
       (match plans with
       | Some p -> p
       | None -> Plan_cache.create config.plan_cache);
-    plan_session = Session.create dbgi;
     fleet;
     slots;
   }
@@ -258,40 +234,14 @@ let stats t = t.st
 let active t = List.length t.conns
 let set_siblings t all = t.siblings <- all
 
-(* Hold the target lock (shared direct access under sharding) around
-   [f]; free when unsharded. *)
-let target_locked t f =
-  match t.target_lock with None -> f () | Some m -> Mutex.protect m f
+let find_slot t id =
+  Array.find_opt (fun sl -> sl.sl_target.Fleet.id = id) t.slots
 
-(* The connection's view of "the target": its bound fleet slot when a
-   fleet is hosted, the server's single target otherwise.  Everything
-   downstream of dispatch goes through these, so the classic path and
-   the fleet path share one code shape. *)
-let conn_inf t c =
-  match c.bound with Some sl -> sl.sl_target.Fleet.inf | None -> t.inf
-
-let conn_rsp t c = match c.bound with Some sl -> sl.sl_rsp | None -> t.rsp
-
-let conn_locked t c f =
-  match c.bound with
-  | Some sl -> Mutex.protect sl.sl_target.Fleet.lock f
-  | None -> target_locked t f
-
-(* Plan-cache coordinates for the connection's target: abi/compile
-   context, key prefix (the target id — twins must never share a
-   compiled plan), and the generation the entry is stamped with. *)
-let conn_plan t c =
-  match c.bound with
-  | Some sl ->
-      ( sl.sl_dbgi,
-        sl.sl_plan_session,
-        sl.sl_target.Fleet.id ^ "\x00",
-        fun () -> Fleet.generation sl.sl_target )
-  | None ->
-      ( t.dbgi,
-        t.plan_session,
-        "",
-        fun () -> Memory.generation (Inferior.mem t.inf) )
+(* A fresh session on [sl]'s target, capped as the config says. *)
+let session_on t sl =
+  let session = Session.create sl.sl_dbgi in
+  session.Session.max_values <- t.cfg.max_eval_values;
+  session
 
 (* --- listeners ----------------------------------------------------------- *)
 
@@ -324,14 +274,10 @@ let new_conn t fd =
   (* small ACK and reply writes must not sit behind Nagle's algorithm
      waiting for a delayed ACK (a no-op on Unix-domain sockets) *)
   (try Unix.setsockopt fd TCP_NODELAY true with Unix.Unix_error _ -> ());
-  (* fleet servers bind every fresh connection to the first slot; the
-     client rebinds with qDuelUse *)
-  let bound = if Array.length t.slots = 0 then None else Some t.slots.(0) in
-  let session =
-    Session.create
-      (match bound with Some sl -> sl.sl_dbgi | None -> t.dbgi)
-  in
-  session.Session.max_values <- t.cfg.max_eval_values;
+  (* every fresh connection is bound to the first slot; the client
+     rebinds with qDuelUse *)
+  let bound = t.slots.(0) in
+  let session = session_on t bound in
   let c =
     {
       fd;
@@ -482,22 +428,23 @@ let plan_compile session expr =
   | exception _ -> None
 
 (* Look up (or build) the plan for [expr] in the (possibly shared,
-   always domain-safe) {!Plan_cache}, against one target's coordinates:
-   [prefix] namespaces the key by target id (fleet twins must never
-   share a plan — compiling interns literals into that target's
-   memory), [gen] is that target's write-generation.  [gen] is re-read
-   *after* a compile: compiling may itself intern string literals into
-   target space, and a plan must not be born already stale.  Cache
-   outcomes land in this shard's own counters; two shards racing to
-   compile the same key both count a compile and the later store wins —
-   wasted work at worst, never a wrong plan. *)
-let plan_lookup_in t ~prefix ~session ~gen dbgi expr =
+   always domain-safe) {!Plan_cache}, against one slot's target: the key
+   is namespaced by target id (fleet twins must never share a plan —
+   compiling interns literals into that target's memory), and the entry
+   is stamped with that target's write-generation.  The generation is
+   re-read *after* a compile: compiling may itself intern string
+   literals into target space, and a plan must not be born already
+   stale.  Cache outcomes land in this shard's own counters; two shards
+   racing to compile the same key both count a compile and the later
+   store wins — wasted work at worst, never a wrong plan. *)
+let plan_lookup t sl expr =
+  let gen () = Fleet.generation sl.sl_target in
   if not (Plan_cache.enabled t.plans) then None
   else
-    match plan_key dbgi expr with
+    match plan_key sl.sl_dbgi expr with
     | None -> None
     | Some key -> (
-        let key = prefix ^ key in
+        let key = sl.sl_target.Fleet.id ^ "\x00" ^ key in
         match Plan_cache.find t.plans ~key ~gen:(gen ()) with
         | Plan_cache.Hit prog ->
             t.st.plan_hits <- t.st.plan_hits + 1;
@@ -506,7 +453,7 @@ let plan_lookup_in t ~prefix ~session ~gen dbgi expr =
             if missed = Plan_cache.Stale then
               t.st.plan_inval <- t.st.plan_inval + 1;
             t.st.plan_misses <- t.st.plan_misses + 1;
-            match plan_compile session expr with
+            match plan_compile sl.sl_plan_session expr with
             | None -> None
             | Some prog ->
                 t.st.plan_compiles <- t.st.plan_compiles + 1;
@@ -530,29 +477,28 @@ let line_is_error l =
   || pre "Transient target fault"
   || pre "evaluation too deep"
 
-(* Lines a qDuelEval sends back: the session's formatted output plus
-   anything the target printed.  A cached plan runs on the VM in the
-   connection's own session (cloned first, so slot state stays
-   per-client); everything else takes the ordinary interpreter path.
-   All coordinates — plan key prefix, compile context, generation,
-   output capture — come from the connection's bound target. *)
-let eval_lines t c expr =
-  let dbgi, session, prefix, gen = conn_plan t c in
+(* The one leg evaluator, for a connection's own session and for each
+   fan-out leg: the lines [expr] yields in [session] against slot [sl]'s
+   target — the session's formatted output plus anything the target
+   printed — counted against that target.  A cached plan runs on the VM
+   (cloned first, so slot state stays per-session); everything else
+   takes the ordinary interpreter path. *)
+let eval_in t sl session expr =
+  let tg = sl.sl_target in
   let lines =
-    match plan_lookup_in t ~prefix ~session ~gen dbgi expr with
-    | Some prog -> Session.exec_program c.session (Bytecode.clone prog)
-    | None -> Session.exec c.session expr
+    match plan_lookup t sl expr with
+    | Some prog -> Session.exec_program session (Bytecode.clone prog)
+    | None -> Session.exec session expr
   in
   let lines =
-    match conn_locked t c (fun () -> Inferior.take_output (conn_inf t c)) with
+    match
+      Mutex.protect tg.Fleet.lock (fun () -> Inferior.take_output tg.Fleet.inf)
+    with
     | "" -> lines
     | out -> lines @ printed_lines out
   in
-  (match c.bound with
-  | Some sl ->
-      Fleet.note_eval sl.sl_target ~values:(List.length lines)
-        ~error:(List.exists line_is_error lines)
-  | None -> ());
+  Fleet.note_eval tg ~values:(List.length lines)
+    ~error:(List.exists line_is_error lines);
   lines
 
 let chunked chunk lines =
@@ -612,24 +558,21 @@ let merged_view t =
    read once here, never summed across shards (unlike the per-shard
    records {!merged_view} folds). *)
 let tgt_wire t =
-  match t.fleet with
-  | None -> ""
-  | Some f ->
-      String.concat ""
-        (List.map
-           (fun tg ->
-             let s = tg.Fleet.tstats in
-             Printf.sprintf
-               "tgt.%s.binds=%d;tgt.%s.evals=%d;tgt.%s.values=%d;tgt.%s.errors=%d;"
-               tg.Fleet.id
-               (Atomic.get s.Fleet.binds)
-               tg.Fleet.id
-               (Atomic.get s.Fleet.evals)
-               tg.Fleet.id
-               (Atomic.get s.Fleet.values)
-               tg.Fleet.id
-               (Atomic.get s.Fleet.errors))
-           (Fleet.targets f))
+  String.concat ""
+    (List.map
+       (fun tg ->
+         let s = tg.Fleet.tstats in
+         Printf.sprintf
+           "tgt.%s.binds=%d;tgt.%s.evals=%d;tgt.%s.values=%d;tgt.%s.errors=%d;"
+           tg.Fleet.id
+           (Atomic.get s.Fleet.binds)
+           tg.Fleet.id
+           (Atomic.get s.Fleet.evals)
+           tg.Fleet.id
+           (Atomic.get s.Fleet.values)
+           tg.Fleet.id
+           (Atomic.get s.Fleet.errors))
+       (Fleet.targets t.fleet))
 
 let stats_wire t =
   let { v_st = st; v_active } = merged_view t in
@@ -661,19 +604,15 @@ let stats_to_lines t =
       (Plan_cache.resident t.plans)
       st.plan_hits st.plan_misses st.plan_compiles st.plan_inval st.plan_evict;
   ]
-  @ (match t.fleet with
-    | None -> []
-    | Some f ->
-        List.map
-          (fun tg ->
-            let s = tg.Fleet.tstats in
-            Printf.sprintf
-              "target %s (%s): %d binds, %d evals, %d values, %d errors"
-              tg.Fleet.id tg.Fleet.spec (Atomic.get s.Fleet.binds)
-              (Atomic.get s.Fleet.evals)
-              (Atomic.get s.Fleet.values)
-              (Atomic.get s.Fleet.errors))
-          (Fleet.targets f))
+  @ List.map
+      (fun tg ->
+        let s = tg.Fleet.tstats in
+        Printf.sprintf "target %s (%s): %d binds, %d evals, %d values, %d errors"
+          tg.Fleet.id tg.Fleet.spec (Atomic.get s.Fleet.binds)
+          (Atomic.get s.Fleet.evals)
+          (Atomic.get s.Fleet.values)
+          (Atomic.get s.Fleet.errors))
+      (Fleet.targets t.fleet)
   @ Histogram.to_lines st.hist
 
 (* Raise the shared stop flag: every shard holding this [stop] (itself
@@ -744,7 +683,7 @@ let eval_seq t c spec =
               | Some ms when ms <= 0 -> frame (Printf.sprintf "F%x;deadline" seq)
               | _ ->
                   t.st.evals <- t.st.evals + 1;
-                  let lines = eval_lines t c expr in
+                  let lines = eval_in t c.bound c.session expr in
                   t.st.eval_values <- t.st.eval_values + List.length lines;
                   let chunks = chunked t.cfg.eval_chunk lines in
                   String.concat ""
@@ -764,28 +703,17 @@ let eval_seq t c spec =
    fresh session (aliases and scopes are per-target state; carrying
    them across targets would alias one target's interned addresses into
    another) and a reset eval-seq window (stored replies belong to the
-   old target).  Unknown id — or no fleet at all — is the typed E03. *)
+   old target).  An unknown id is the typed E03. *)
 let use_target t c id =
-  match t.fleet with
+  match find_slot t id with
   | None -> frame "E03"
-  | Some f -> (
-      match Fleet.find f id with
-      | None -> frame "E03"
-      | Some tg -> (
-          match
-            Array.to_seq t.slots
-            |> Seq.find (fun sl -> sl.sl_target.Fleet.id = id)
-          with
-          | None -> frame "E03"
-          | Some sl ->
-              let session = Session.create sl.sl_dbgi in
-              session.Session.max_values <- t.cfg.max_eval_values;
-              c.session <- session;
-              c.bound <- Some sl;
-              c.last_eval_seq <- -1;
-              c.last_eval_reply <- "";
-              Fleet.note_bind tg;
-              frame "OK"))
+  | Some sl ->
+      c.session <- session_on t sl;
+      c.bound <- sl;
+      c.last_eval_seq <- -1;
+      c.last_eval_reply <- "";
+      Fleet.note_bind sl.sl_target;
+      frame "OK"
 
 (* One target's leg of a fan-out: evaluate in an ephemeral session (the
    fan-out must not disturb the connection's bound session, and aliases
@@ -797,29 +725,9 @@ let use_target t c id =
    escapes becomes that leg's [X<id>;msg] — never the fan-out's. *)
 let eval_slot t sl expr =
   let id = sl.sl_target.Fleet.id in
-  match
-    let session = Session.create sl.sl_dbgi in
-    session.Session.max_values <- t.cfg.max_eval_values;
-    let lines =
-      match
-        plan_lookup_in t ~prefix:(id ^ "\x00") ~session:sl.sl_plan_session
-          ~gen:(fun () -> Fleet.generation sl.sl_target)
-          sl.sl_dbgi expr
-      with
-      | Some prog -> Session.exec_program session (Bytecode.clone prog)
-      | None -> Session.exec session expr
-    in
-    match
-      Mutex.protect sl.sl_target.Fleet.lock (fun () ->
-          Inferior.take_output sl.sl_target.Fleet.inf)
-    with
-    | "" -> lines
-    | out -> lines @ printed_lines out
-  with
+  match eval_in t sl (session_on t sl) expr with
   | lines ->
       t.st.eval_values <- t.st.eval_values + List.length lines;
-      Fleet.note_eval sl.sl_target ~values:(List.length lines)
-        ~error:(List.exists line_is_error lines);
       let chunks = chunked t.cfg.eval_chunk lines in
       String.concat ""
         (List.mapi
@@ -844,36 +752,26 @@ let eval_all t spec =
   | Some semi -> (
       let ids_s = String.sub spec 0 semi in
       let expr = String.sub spec (semi + 1) (String.length spec - semi - 1) in
-      match t.fleet with
-      | None -> frame "E03"
-      | Some _ ->
-          let legs =
-            if String.trim ids_s = "*" then
-              Array.to_list t.slots |> List.map (fun sl -> Ok sl)
-            else
-              String.split_on_char ',' ids_s
-              |> List.map String.trim
-              |> List.filter (fun id -> id <> "")
-              |> List.map (fun id ->
-                     match
-                       Array.to_seq t.slots
-                       |> Seq.find (fun sl -> sl.sl_target.Fleet.id = id)
-                     with
-                     | Some sl -> Ok sl
-                     | None -> Error id)
-          in
-          if legs = [] then frame "E00"
-          else begin
-            t.st.evals <- t.st.evals + 1;
-            String.concat ""
-              (List.map
-                 (function
-                   | Ok sl -> eval_slot t sl expr
-                   | Error id ->
-                       frame (Printf.sprintf "X%s;unknown target" id))
-                 legs)
-            ^ frame (Printf.sprintf "T%x" (List.length legs))
-          end)
+      let legs =
+        if String.trim ids_s = "*" then
+          Array.to_list t.slots |> List.map (fun sl -> Ok sl)
+        else
+          String.split_on_char ',' ids_s
+          |> List.map String.trim
+          |> List.filter (fun id -> id <> "")
+          |> List.map (fun id -> Option.to_result ~none:id (find_slot t id))
+      in
+      if legs = [] then frame "E00"
+      else begin
+        t.st.evals <- t.st.evals + 1;
+        String.concat ""
+          (List.map
+             (function
+               | Ok sl -> eval_slot t sl expr
+               | Error id -> frame (Printf.sprintf "X%s;unknown target" id))
+             legs)
+        ^ frame (Printf.sprintf "T%x" (List.length legs))
+      end)
 
 (* Process one complete, valid request frame.  Returns the reply text
    (one or more frames, already encoded and concatenated). *)
@@ -883,8 +781,7 @@ let dispatch t c payload =
     shutdown t;
     frame "OK"
   end
-  else if payload = "qDuelTargets" then
-    frame (match t.fleet with None -> "" | Some f -> Fleet.describe f)
+  else if payload = "qDuelTargets" then frame (Fleet.describe t.fleet)
   else if has_prefix "qDuelUse:" payload then
     use_target t c (after "qDuelUse:" payload)
   else if has_prefix "qDuelEvalAll:" payload then
@@ -893,7 +790,7 @@ let dispatch t c payload =
     eval_seq t c (after "qDuelEvalSeq:" payload)
   else if has_prefix "qDuelEval:" payload then begin
     t.st.evals <- t.st.evals + 1;
-    let lines = eval_lines t c (after "qDuelEval:" payload) in
+    let lines = eval_in t c.bound c.session (after "qDuelEval:" payload) in
     t.st.eval_values <- t.st.eval_values + List.length lines;
     let chunks = chunked t.cfg.eval_chunk lines in
     String.concat ""
@@ -902,9 +799,9 @@ let dispatch t c payload =
   end
   else
     (* plain RSP traffic: memory, allocation, calls, frames, handshake —
-       aimed at the connection's target (its bound fleet slot, or the
-       server's single shared target), under that target's lock *)
-    conn_locked t c (fun () -> Rsp_server.reply_frame (conn_rsp t c) payload)
+       aimed at the connection's bound target, under that target's lock *)
+    Mutex.protect c.bound.sl_target.Fleet.lock (fun () ->
+        Rsp_server.reply_frame c.bound.sl_rsp payload)
 
 let handle_event t c = function
   | Packet.Deframer.Ack -> ()

@@ -1,11 +1,12 @@
 (** The concurrent network debug server.
 
-    One simulated target, many clients, one thread: a single
-    [Unix.select] event loop owns the listening sockets (TCP and
-    Unix-domain) and every accepted connection.  Each connection runs an
+    A fleet of simulated targets — one, unless relative debugging wants
+    several — many clients, one thread: a single [Unix.select] event
+    loop owns the listening sockets (TCP and Unix-domain) and every
+    accepted connection.  Each connection runs an
     independent RSP exchange over an incremental deframer
-    ({!Duel_rsp.Packet.Deframer}) against the shared {!Duel_rsp.Server}
-    stub, plus the serve-level extensions:
+    ({!Duel_rsp.Packet.Deframer}) against its bound target's
+    {!Duel_rsp.Server} stub, plus the serve-level extensions:
 
     {ul
     {- [qDuelEval:<expr>] — run a whole DUEL command server-side in the
@@ -44,13 +45,14 @@
 
     {2 Fleet hosting}
 
-    A server created with [?fleet] hosts N named targets
-    ({!Duel_fleet.Fleet}) instead of one.  Every fresh connection is
-    bound to the first fleet slot; three more protocol verbs appear:
+    A server hosts the N named targets of a {!Duel_fleet.Fleet}; a
+    single target is a one-member fleet whose target is [main]
+    ({!Duel_fleet.Fleet.of_inferior}).  Every fresh connection is bound
+    to the first fleet slot; three more protocol verbs address the
+    others:
 
     {ul
-    {- [qDuelTargets] — the fleet roster as [id=spec,...] (empty reply
-       on a fleet-less server).}
+    {- [qDuelTargets] — the fleet roster as [id=spec,...].}
     {- [qDuelUse:<id>] — rebind the connection: subsequent evals and
        RSP traffic aim at target [id], with a fresh session (aliases
        are per-target state) and a reset eval-seq replay window.
@@ -155,38 +157,26 @@ type view = { v_st : stats; v_active : int }
 
 val create :
   ?config:config ->
-  ?dbgi:Duel_dbgi.Dbgi.t ->
   ?plans:Plan_cache.t ->
   ?stop:bool Atomic.t ->
-  ?target_lock:Mutex.t ->
-  ?fleet:Duel_fleet.Fleet.t ->
-  Duel_target.Inferior.t ->
+  Duel_fleet.Fleet.t ->
   t
-(** A server (or one shard of a sharded server) over [inf].  The
-    optional arguments are the sharding seams; every default reproduces
-    the classic single-threaded server exactly:
+(** A server (or one shard of a sharded server) hosting [fleet] (see
+    {e Fleet hosting} above).  The fleet object — per-target locks,
+    write-generations, counters — may be shared across shards; this
+    shard builds its own per-target data caches
+    ({!Duel_fleet.Fleet.shard_dbgi}), RSP stubs and plan-compile
+    contexts from it.  RSP dispatch and target-stdout capture run
+    holding the bound target's lock.  The optional arguments are the
+    sharding seams:
 
     {ul
-    {- [dbgi] — the interface sessions evaluate against (default: a
-       cached {!Duel_target.Backend.direct} over [inf]).  A sharded
-       server passes each shard its own data cache over a
-       {!Duel_dbgi.Dbgi.serialized} view of the shared target.}
     {- [plans] — the query-plan cache (default: a private one of
        capacity [config.plan_cache]).  {!Plan_cache} is domain-safe, so
        one cache may be shared by every shard.}
     {- [stop] — the shutdown flag {!shutdown} raises and {!step} polls
        (default: private).  Shards share one, so [qDuelShutdown]
-       arriving at any shard drains all of them.}
-    {- [target_lock] — when present, RSP dispatch and target-stdout
-       capture run holding it; pass the same mutex the shards'
-       serialized DBGIs use.  Absent (the default), target access is
-       unguarded exactly as before.}
-    {- [fleet] — host these named targets instead of just [inf] (see
-       {e Fleet hosting} above).  The fleet object is shared across
-       shards; this shard builds its own per-target data caches, RSP
-       stubs, and plan-compile contexts from it.  Pass the first
-       target's inferior as [inf] (it backs the fleet-less defaults,
-       which bound connections never touch).}} *)
+       arriving at any shard drains all of them.}} *)
 
 val listen_tcp : ?reuseport:bool -> t -> host:string -> port:int -> int
 (** Bind and listen; returns the actual port (useful with [port = 0]).

@@ -1,22 +1,22 @@
 (* The sharded serve stack: N copies of the {!Server} event loop, one
-   OCaml 5 domain each, over one shared target.
+   OCaml 5 domain each, over one shared fleet of targets.
 
    What is shared and what is shard-local:
 
-   - The {e target} (the simulated inferior) is shared.  Every shard's
-     raw direct access is serialized per-operation by one mutex
-     ({!Duel_dbgi.Dbgi.serialized}); reads mostly never reach it,
-     because each shard owns a private {!Duel_dbgi.Dcache} whose
-     generation probe snoops the shared memory's write-generation — a
-     store by any shard retires every other shard's cached lines on
-     their next access, the same coherence hook single-threaded rigs
-     already used.
+   - The {e fleet} (the simulated inferiors) is shared.  Every shard's
+     raw access to a target is serialized per-operation by that
+     target's lock ({!Duel_fleet.Fleet.shard_dbgi}); reads mostly never
+     reach it, because each shard owns a private {!Duel_dbgi.Dcache}
+     per target whose generation probe snoops that target's
+     write-generation — a store by any shard retires every other
+     shard's cached lines on their next access, the same coherence hook
+     single-threaded rigs already used.
    - The {e plan cache} is shared ({!Plan_cache} is mutex-guarded), so
      a query compiled by one shard is a hit on every other.
    - The {e stop flag} is shared: [qDuelShutdown] arriving at any shard
      (or a signal handler calling {!shutdown}) drains all of them.
    - Everything else — connections, sessions, stats, the latency
-     histogram, the RSP stub, the select loop itself — is shard-local
+     histogram, the RSP stubs, the select loop itself — is shard-local
      and touched only by the shard's own domain.  [qDuelStats] merges
      the per-shard numbers on demand ({!Server.merged_view}).
 
@@ -26,11 +26,6 @@
    so a small dispatcher domain accepts and hands each fd to the next
    shard round-robin over the shard's locked inbox ({!Server.hand_off}),
    which wakes the shard's select through its wake pipe. *)
-
-module Inferior = Duel_target.Inferior
-module Memory = Duel_mem.Memory
-module Dbgi = Duel_dbgi.Dbgi
-module Dcache = Duel_dbgi.Dcache
 
 type t = {
   shards : Server.t array;
@@ -44,38 +39,15 @@ type t = {
 let shard_count t = Array.length t.shards
 let shards t = Array.to_list t.shards
 
-let create ?(config = Server.default_config) ?fleet ~shards:n inf =
+let create ?(config = Server.default_config) ~shards:n fleet =
   if n < 1 then invalid_arg "Sharded.create: shards must be >= 1";
   let stop = Atomic.make false in
   let plans = Plan_cache.create config.Server.plan_cache in
-  let lock = Mutex.create () in
-  let mem = Inferior.mem inf in
-  let shard _ =
-    match fleet with
-    | Some _ ->
-        (* fleet hosting: the shared fleet carries the per-target locks
-           and generations; each shard builds its own per-target caches
-           inside [Server.create], so nothing else is needed here *)
-        Server.create ~config ~plans ~stop ?fleet inf
-    | None ->
-        if n = 1 then
-          (* one shard is exactly the classic server: direct cached DBGI,
-             no target lock, nothing serialized — bit-identical behavior *)
-          Server.create ~config ~plans ~stop inf
-        else
-          let dbgi =
-            Dcache.wrap
-              ~config:
-                {
-                  Dcache.default_config with
-                  stale_policy = Dcache.Probe (fun () -> Memory.generation mem);
-                }
-              (Dbgi.serialized lock
-                 (Duel_target.Backend.direct ~cache:false inf))
-          in
-          Server.create ~config ~dbgi ~plans ~stop ~target_lock:lock inf
+  (* the shared fleet carries the per-target locks and generations; each
+     shard builds its own per-target caches inside [Server.create] *)
+  let shards =
+    Array.init n (fun _ -> Server.create ~config ~plans ~stop fleet)
   in
-  let shards = Array.init n shard in
   if n > 1 then begin
     let all = Array.to_list shards in
     Array.iter (fun s -> Server.set_siblings s all) shards

@@ -1,14 +1,15 @@
 (** The sharded serve stack: N {!Server} event loops, one OCaml 5
-    domain each, over one shared target.
+    domain each, over one shared fleet of targets.
 
     {2 Threading model}
 
     Shard-local (touched only by the owning domain): the select loop,
-    connections and their sessions, the RSP stub, stats and the latency
-    histogram, and a private {!Duel_dbgi.Dcache}.  Shared: the target —
-    raw access serialized per-operation by one mutex
-    ({!Duel_dbgi.Dbgi.serialized}), with each shard's dcache kept
-    coherent by the shared memory's write-generation probe; the
+    connections and their sessions, the RSP stubs, stats and the latency
+    histogram, and a private {!Duel_dbgi.Dcache} per target.  Shared:
+    the fleet — raw access to each target serialized per-operation by
+    that target's lock ({!Duel_fleet.Fleet.shard_dbgi}), with each
+    shard's dcache kept coherent by the target's write-generation
+    probe; the
     {!Plan_cache} (internally mutex-guarded), so a query compiled by
     one shard hits on all; and the stop flag, so [qDuelShutdown] at any
     shard gracefully drains every shard.  [qDuelStats] answered by any
@@ -22,24 +23,18 @@
     dispatcher domain that accepts and hands each fd to the next shard
     round-robin via {!Server.hand_off}.
 
-    With [shards = 1] no domain is spawned, no lock is taken and no
-    DBGI is wrapped: the behavior is bit-identical to the classic
-    single-threaded {!Server}. *)
+    With [shards = 1] no domain is spawned and the loop runs on the
+    calling domain ({!run}); the target locks are then uncontended. *)
 
 type t
 
-val create :
-  ?config:Server.config ->
-  ?fleet:Duel_fleet.Fleet.t ->
-  shards:int ->
-  Duel_target.Inferior.t ->
-  t
-(** [create ~shards:n inf] builds [n] shard servers over the shared
-    target.  With [?fleet], every shard hosts the same named targets
-    (see {!Server} {e Fleet hosting}): the fleet object — locks,
-    generations, counters — is shared, while each shard builds its own
-    per-target data caches and compile contexts; pass the first
-    target's inferior as [inf].  @raise Invalid_argument if [n < 1]. *)
+val create : ?config:Server.config -> shards:int -> Duel_fleet.Fleet.t -> t
+(** [create ~shards:n fleet] builds [n] shard servers, each hosting the
+    same targets (see {!Server} {e Fleet hosting}): the fleet object —
+    locks, generations, counters — is shared, while each shard builds
+    its own per-target data caches and compile contexts.  A single
+    target is {!Duel_fleet.Fleet.of_inferior}.
+    @raise Invalid_argument if [n < 1]. *)
 
 val shard_count : t -> int
 val shards : t -> Server.t list

@@ -1,5 +1,20 @@
 module Memory = Duel_mem.Memory
 module Dbgi = Duel_dbgi.Dbgi
+module Dcache = Duel_dbgi.Dcache
+
+(* The memory is in-process, so the cache snoops its write generation:
+   stores that bypass the interface (the mini-C interpreter, scenario
+   builders, another shard) invalidate on the next access instead of
+   going stale. *)
+let cached inf dbg =
+  let mem = Inferior.mem inf in
+  Dcache.wrap
+    ~config:
+      {
+        Dcache.default_config with
+        stale_policy = Dcache.Probe (fun () -> Memory.generation mem);
+      }
+    dbg
 
 let direct ?(cache = true) inf =
   let mem = Inferior.mem inf in
@@ -25,16 +40,4 @@ let direct ?(cache = true) inf =
       health = Dbgi.always_healthy;
     }
   in
-  if cache then begin
-    (* The memory is in-process, so the cache snoops its write generation:
-       stores that bypass the interface (the mini-C interpreter, scenario
-       builders) invalidate on the next access instead of going stale. *)
-    Duel_dbgi.Dcache.wrap
-      ~config:
-        {
-          Duel_dbgi.Dcache.default_config with
-          stale_policy = Duel_dbgi.Dcache.Probe (fun () -> Memory.generation mem);
-        }
-      raw
-  end
-  else raw
+  if cache then cached inf raw else raw

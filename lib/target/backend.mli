@@ -15,3 +15,8 @@
     in-process memory has no round trip to amortise. *)
 
 val direct : ?cache:bool -> Inferior.t -> Duel_dbgi.Dbgi.t
+
+val cached : Inferior.t -> Duel_dbgi.Dbgi.t -> Duel_dbgi.Dbgi.t
+(** [cached inf dbg] fronts [dbg] with a {!Duel_dbgi.Dcache} whose
+    coherence probe reads [inf]'s memory write-generation — the wrap
+    [direct] applies by default, for any interface over [inf]. *)

@@ -129,7 +129,7 @@ let soak_serve ~seed =
   let config =
     { Server.default_config with Server.fault_hook = Some (seeded_hook seed) }
   in
-  let srv = Server.create ~config inf in
+  let srv = Server.create ~config (Fleet.of_inferior ~spec:"all" inf) in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Server.inject srv server_end;
   let cl =
@@ -167,7 +167,10 @@ let soak_serve_sharded ~seed =
   let config =
     { Server.default_config with Server.fault_hook = Some locked_hook }
   in
-  let srv = Sharded.create ~config ~shards:2 (Scenarios.all ()) in
+  let srv =
+    Sharded.create ~config ~shards:2
+      (Fleet.of_inferior ~spec:"all" (Scenarios.all ()))
+  in
   Sharded.start srv;
   let clients =
     List.init 2 (fun _ ->
@@ -213,8 +216,7 @@ let soak_serve_fleet ~seed =
     | Ok f -> f
     | Error m -> raise (Diverged ("fleet rig: " ^ m))
   in
-  let inf = (List.hd (Fleet.targets fleet)).Fleet.inf in
-  let srv = Server.create ~fleet inf in
+  let srv = Server.create fleet in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Server.inject srv server_end;
   let cl =

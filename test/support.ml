@@ -21,12 +21,18 @@ let kit_rsp ?(engine = Session.Seq_engine) () =
   let inf = Scenarios.all () in
   { session = Session.create ~engine (Duel_rsp.Client.loopback inf); inf }
 
+(* A single target as the serve layer holds it: a one-member fleet over
+   [inf] ([spec] only names it in the roster). *)
+let one ?(spec = "all") inf = Duel_fleet.Fleet.of_inferior ~spec inf
+
+let serve ?config ?spec inf = Duel_serve.Server.create ?config (one ?spec inf)
+
 (* A whole network stack inside one process: the serve event loop owns
    one end of a socketpair, the client the other, and blocking waits on
    the client side pump the loop instead — deterministic concurrency
    with no threads or forks. *)
 let socket_stack ?config inf =
-  let srv = Duel_serve.Server.create ?config inf in
+  let srv = serve ?config inf in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Duel_serve.Server.inject srv server_end;
   let cl =
@@ -57,7 +63,7 @@ let quick_retry =
    client talks to a [Duel_chaos.Proxy] relay which talks to the real
    server loop, both pumped cooperatively from the client's waits. *)
 let mangled_socket_stack ?config ~up ~down inf =
-  let srv = Duel_serve.Server.create ?config inf in
+  let srv = serve ?config inf in
   let proxy, client_end, server_end = Duel_chaos.Proxy.between ~up ~down () in
   Duel_serve.Server.inject srv server_end;
   let pump () =

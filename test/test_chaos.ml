@@ -346,7 +346,7 @@ let seeded_hook ?(max_burst = 2) seed =
 
 let chaotic_socket_stack ?(retry = Support.quick_retry) hook inf =
   let config = { Server.default_config with Server.fault_hook = Some hook } in
-  let srv = Server.create ~config inf in
+  let srv = Support.serve ~config inf in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Server.inject srv server_end;
   let cl =

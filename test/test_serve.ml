@@ -197,7 +197,7 @@ let eval_session_persists () =
 let concurrent_clients () =
   let n = 10 in
   let inf = Scenarios.all () in
-  let srv = Server.create inf in
+  let srv = Support.serve inf in
   let pump () = ignore (Server.step srv 0.01) in
   let clients =
     List.init n (fun _ ->
@@ -240,7 +240,7 @@ let concurrent_clients () =
   Alcotest.(check int) "EOFs reaped every connection" 0 (Server.active srv)
 
 let tcp_listener () =
-  let srv = Server.create (Scenarios.all ()) in
+  let srv = Support.serve (Scenarios.all ()) in
   let port = Server.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
   Alcotest.(check bool) "ephemeral port assigned" true (port > 0);
   let pump () = ignore (Server.step srv 0.01) in
@@ -286,7 +286,7 @@ let request_budget () =
   Client.close cl
 
 let malformed_nak_resync () =
-  let srv = Server.create (Scenarios.all ()) in
+  let srv = Support.serve (Scenarios.all ()) in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Server.inject srv server_end;
   (* raw bytes: garbage, a frame with a corrupt checksum, then a valid
@@ -325,7 +325,9 @@ let backpressure () =
      jams the queue, and the server must stop *reading* the connection
      until the client drains it. *)
   let config = { Server.default_config with max_output = 1024 } in
-  let srv = Server.create ~config (Scenarios.big_array 4000) in
+  let srv =
+    Support.serve ~config ~spec:"big:4000" (Scenarios.big_array 4000)
+  in
   let server_end, client_end = Unix.socketpair PF_UNIX SOCK_STREAM 0 in
   Unix.setsockopt_int server_end SO_SNDBUF 4096;
   Server.inject srv server_end;
@@ -524,7 +526,7 @@ let eval_invalidates_client_cache () =
 (* One server, [n] injected client connections, one pump. *)
 let plan_stack ?config n =
   let inf = Scenarios.all () in
-  let srv = Server.create ?config inf in
+  let srv = Support.serve ?config inf in
   let pump () = ignore (Server.step srv 0.01) in
   let clients =
     List.init n (fun _ ->
@@ -798,11 +800,7 @@ module Sharded = Duel_serve.Sharded
    cross-domain configuration proper — no cooperative pump anywhere. *)
 let sharded_rig ?config ~shards nclients =
   let inf = Scenarios.all () in
-  let srv =
-    match config with
-    | None -> Sharded.create ~shards inf
-    | Some config -> Sharded.create ~config ~shards inf
-  in
+  let srv = Sharded.create ?config ~shards (Support.one inf) in
   Sharded.start srv;
   let clients =
     List.init nclients (fun _ ->
@@ -845,7 +843,7 @@ let sharded_tcp_reuseport () =
   in
   let query = "x[1..4,8,12..50] >? 5 <? 10" in
   let expected = Session.exec direct query in
-  let srv = Sharded.create ~shards:2 (Scenarios.all ()) in
+  let srv = Sharded.create ~shards:2 (Support.one (Scenarios.all ())) in
   let port = Sharded.listen_tcp srv ~host:"127.0.0.1" ~port:0 in
   Sharded.start srv;
   let addr = Printf.sprintf "127.0.0.1:%d" port in
@@ -888,6 +886,41 @@ let sharded_drain_mid_stream () =
   Sharded.join srv;
   List.iter Client.close clients
 
+(* Stores cross shards: one target, two shard loops, a client on each.
+   Shard 1 reads first, so its own dcache and plan hold the old value;
+   the store through shard 0 must retire both, by way of the target's
+   write-generation.  The same holds the other way round for a raw RSP
+   memory write. *)
+let sharded_store_crosses_shards () =
+  let srv, clients = sharded_rig ~shards:2 2 in
+  let c0, c1 = match clients with [ a; b ] -> (a, b) | _ -> assert false in
+  Alcotest.(check (list string)) "shard 1 warm" [ "x[7] = 0" ]
+    (Client.eval c1 "x[7]");
+  Alcotest.(check (list string))
+    "store through shard 0" [ "x[7] = 1234" ]
+    (Client.eval c0 "x[7] = 1234");
+  (* the round-robin hand-off put each client on its own shard *)
+  Alcotest.(check (list int))
+    "one client per shard" [ 1; 1 ]
+    (List.map (fun s -> (Server.stats s).Server.accepted) (Sharded.shards srv));
+  Alcotest.(check (list string))
+    "shard 1 reads the store back" [ "x[7] = 1234" ]
+    (Client.eval c1 "x[7]");
+  let raw1 =
+    Client.dbgi ~cache:false c1
+      (Duel_rsp.Client.debug_info_of_inferior (Scenarios.all ()))
+  in
+  let x =
+    match raw1.Dbgi.find_variable "x" with
+    | Some v -> v.Dbgi.v_addr
+    | None -> Alcotest.fail "x missing"
+  in
+  Dbgi.write_scalar raw1 ~addr:(x + (7 * 4)) ~size:4 4321L;
+  Alcotest.(check (list string))
+    "shard 0 reads a raw RSP store from shard 1" [ "x[7] = 4321" ]
+    (Client.eval c0 "x[7]");
+  sharded_teardown srv clients
+
 let sharded_idle_reap () =
   let config = { Server.default_config with idle_timeout = 0.05 } in
   let srv, clients = sharded_rig ~config ~shards:2 2 in
@@ -917,12 +950,7 @@ let fleet_stack ?config ?(n = 1) spec =
     | Ok f -> f
     | Error m -> Alcotest.fail ("fleet spec: " ^ m)
   in
-  let inf = (List.hd (Fleet.targets fleet)).Fleet.inf in
-  let srv =
-    match config with
-    | None -> Server.create ~fleet inf
-    | Some config -> Server.create ~config ~fleet inf
-  in
+  let srv = Server.create ?config fleet in
   let pump () = ignore (Server.step srv 0.01) in
   let clients =
     List.init n (fun _ ->
@@ -952,15 +980,24 @@ let fleet_roster_and_bind () =
     (Client.eval cl "deep-->next->value");
   List.iter Client.close clients
 
-(* A fleet-less server answers the fleet verbs honestly: an empty
-   roster, and E03 on any bind attempt. *)
-let fleet_verbs_without_fleet () =
+(* A single-target server is a one-member fleet: the roster lists its
+   one target as [main], binding it works, a fan-out over it answers
+   what a plain eval does, and its per-target counters count both. *)
+let single_target_is_a_fleet () =
   let _srv, cl = Support.socket_stack (Scenarios.all ()) in
   Alcotest.(check (list (pair string string)))
-    "no roster" [] (Client.targets cl);
-  (match Client.use_target cl "a" with
-  | () -> Alcotest.fail "bind on a fleet-less server must fail"
-  | exception Client.Error (Client.Unknown_target "a") -> ());
+    "one roster entry" [ ("main", "all") ] (Client.targets cl);
+  Client.use_target cl "main";
+  let q = "x[1..4,8,12..50] >? 5 <? 10" in
+  let plain = Client.eval cl q in
+  Alcotest.(check (list (pair string (result (list string) string))))
+    "fan-out over main equals a plain eval"
+    [ ("main", Ok plain) ]
+    (Client.eval_all cl [ "main" ] q);
+  let st = Client.server_stats cl in
+  let get k = match List.assoc_opt k st with Some v -> v | None -> -1 in
+  Alcotest.(check int) "main binds" 1 (get "tgt.main.binds");
+  Alcotest.(check int) "main evals" 2 (get "tgt.main.evals");
   Client.close cl
 
 (* The directed satellite test: binding an unknown id raises the typed
@@ -1191,8 +1228,7 @@ let fleet_sharded () =
     | Ok f -> f
     | Error m -> Alcotest.fail m
   in
-  let inf = (List.hd (Fleet.targets fleet)).Fleet.inf in
-  let srv = Sharded.create ~fleet ~shards:2 inf in
+  let srv = Sharded.create ~shards:2 fleet in
   Sharded.start srv;
   let clients =
     List.init 4 (fun _ ->
@@ -1280,9 +1316,10 @@ let suite =
     case "SO_REUSEPORT shards share one TCP port" sharded_tcp_reuseport;
     case "sharded drain delivers queued replies" sharded_drain_mid_stream;
     case "each shard reaps its own idlers" sharded_idle_reap;
+    case "a store through one shard is read back through another"
+      sharded_store_crosses_shards;
     case "fleet roster and target binding" fleet_roster_and_bind;
-    case "fleet verbs degrade honestly without a fleet"
-      fleet_verbs_without_fleet;
+    case "a single target is a one-member fleet" single_target_is_a_fleet;
     case "binding an unknown target is a typed failure"
       fleet_unknown_target_typed;
     case "stores into one target leave siblings' caches alone"
